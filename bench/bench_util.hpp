@@ -152,12 +152,7 @@ class Report {
   };
 
   static std::string escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
+    return obs::json_escape(s);
   }
 
   static std::string num(double v) {

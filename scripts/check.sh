@@ -350,11 +350,11 @@ if [ "${PATHVIEW_SKIP_SANITIZE:-0}" != "1" ]; then
   echo "== chaos matrix under ASan"
   chaos_smoke build-asan
 
-  echo "== sanitizer pass (TSan: pipeline worker pool + obs + serve + faults)"
+  echo "== sanitizer pass (TSan: worker pools + obs + serve + faults)"
   cmake -B build-tsan -DPATHVIEW_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" \
     --target prof_test pipeline_test obs_test serve_test fault_test \
-    query_test ensemble_test pvserve pvprof pvrun pvtop pvquery pvdiff
+    query_test ensemble_test sim_test pvserve pvprof pvrun pvtop pvquery pvdiff
   build-tsan/tests/prof_test
   build-tsan/tests/pipeline_test
   build-tsan/tests/obs_test
@@ -362,6 +362,7 @@ if [ "${PATHVIEW_SKIP_SANITIZE:-0}" != "1" ]; then
   build-tsan/tests/fault_test
   build-tsan/tests/query_test
   build-tsan/tests/ensemble_test
+  build-tsan/tests/sim_test
   echo "== serve smoke under TSan"
   serve_smoke build-tsan
   echo "== continuous-profiling smoke under TSan"

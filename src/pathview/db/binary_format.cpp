@@ -32,6 +32,7 @@
 #include <cstring>
 #include <optional>
 
+#include "pathview/db/cct_records.hpp"
 #include "pathview/db/experiment.hpp"
 #include "pathview/obs/obs.hpp"
 #include "pathview/support/crc32c.hpp"
@@ -248,24 +249,13 @@ prof::CanonicalCct read_cct_block(Reader& r,
   prof::CanonicalCct cct(tree);
   const std::uint64_t cn = r.u64();
   for (std::uint64_t i = 0; i < cn; ++i) {
-    const std::uint64_t rawkind = r.u64();
-    if (rawkind > static_cast<std::uint64_t>(prof::CctKind::kStmt))
-      throw ParseError("binary db: bad cct node kind", r.pos());
-    const auto kind = static_cast<prof::CctKind>(rawkind);
-    const auto parent = static_cast<prof::CctNodeId>(r.u64());
-    const auto scope = static_cast<structure::SNodeId>(r.u64());
-    const std::uint64_t cs = r.u64();
-    if (parent >= cct.size())
-      throw ParseError("binary db: dangling cct parent", r.pos());
-    // Scope and call-site ids index the structure tree; a corrupt id would
-    // otherwise surface as an out-of-bounds read at first label() call.
-    if (scope != structure::kSNull && scope >= tree->size())
-      throw ParseError("binary db: cct scope out of range", r.pos());
-    if (cs != 0 && cs - 1 >= tree->size())
-      throw ParseError("binary db: cct call site out of range", r.pos());
-    cct.find_or_add_child(parent, kind, scope,
-                          cs == 0 ? structure::kSNull
-                                  : static_cast<structure::SNodeId>(cs - 1));
+    detail::CctRecord rec;
+    rec.kind = r.u64();
+    rec.parent = r.u64();
+    rec.scope = r.u64();
+    const std::uint64_t cs = r.u64();  // biased by one; 0 = none
+    rec.call_site = cs == 0 ? structure::kSNull : cs - 1;
+    detail::append_cct_record(cct, rec, "binary db", r.pos());
   }
   return cct;
 }
@@ -273,14 +263,10 @@ prof::CanonicalCct read_cct_block(Reader& r,
 void read_samples_block(Reader& r, prof::CanonicalCct& cct) {
   const std::uint64_t cells = r.u64();
   for (std::uint64_t i = 0; i < cells; ++i) {
-    const auto node = static_cast<prof::CctNodeId>(r.u64());
+    const std::uint64_t node = r.u64();
     const std::uint64_t e = r.u64();
     const double v = r.f64();
-    if (node >= cct.size() || e >= model::kNumEvents)
-      throw ParseError("binary db: bad sample cell", r.pos());
-    model::EventVector ev;
-    ev.v[e] = v;
-    cct.add_samples(node, ev);
+    detail::add_sample_record(cct, node, e, v, "binary db", r.pos());
   }
 }
 

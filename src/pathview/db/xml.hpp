@@ -13,6 +13,7 @@ struct XmlNode {
   std::string name;
   std::vector<std::pair<std::string, std::string>> attrs;
   std::vector<XmlNode> children;
+  std::size_t offset = 0;  // byte offset of the element's '<'
 
   /// Attribute value; throws ParseError-style InvalidArgument when absent.
   const std::string& attr(std::string_view key) const;

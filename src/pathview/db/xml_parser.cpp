@@ -135,8 +135,8 @@ class Parser {
 
   XmlNode parse_element() {
     if (!starts_with("<")) fail("expected '<'");
-    ++pos_;
     XmlNode node;
+    node.offset = pos_++;
     node.name = parse_name();
     for (;;) {
       skip_ws();

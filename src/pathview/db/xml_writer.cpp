@@ -2,6 +2,7 @@
 // generic XML subset parser lives in xml_parser.cpp).
 #include <charconv>
 
+#include "pathview/db/cct_records.hpp"
 #include "pathview/db/experiment.hpp"
 #include "pathview/db/xml.hpp"
 #include "pathview/obs/obs.hpp"
@@ -110,9 +111,15 @@ Experiment from_xml(std::string_view xml) {
   auto tree = std::make_unique<structure::StructureTree>();
   for (const XmlNode& s : root.child("Structure").children) {
     if (s.name != "S") throw InvalidArgument("xml: expected <S>");
+    const std::uint64_t kind = to_u64(s.attr("k"));
+    const std::uint64_t parent = to_u64(s.attr("p"));
+    if (kind > static_cast<std::uint64_t>(structure::SKind::kStmt))
+      throw ParseError("xml: bad structure scope kind", s.offset);
+    if (parent >= tree->size())
+      throw ParseError("xml: dangling structure parent", s.offset);
     structure::SNode n;
-    n.kind = static_cast<structure::SKind>(to_u64(s.attr("k")));
-    n.parent = static_cast<structure::SNodeId>(to_u64(s.attr("p")));
+    n.kind = static_cast<structure::SKind>(kind);
+    n.parent = static_cast<structure::SNodeId>(parent);
     n.name = tree->names().intern(s.attr("n"));
     n.file = tree->names().intern(s.attr("f"));
     n.line = static_cast<int>(to_u64(s.attr("l")));
@@ -129,20 +136,16 @@ Experiment from_xml(std::string_view xml) {
   prof::CanonicalCct cct(tree.get());
   for (const XmlNode& c : root.child("CCT").children) {
     if (c.name != "N") throw InvalidArgument("xml: expected <N>");
-    cct.find_or_add_child(
-        static_cast<prof::CctNodeId>(to_u64(c.attr("p"))),
-        static_cast<prof::CctKind>(to_u64(c.attr("k"))),
-        static_cast<structure::SNodeId>(to_u64(c.attr("s"))),
-        static_cast<structure::SNodeId>(to_u64(c.attr("cs"))));
+    detail::append_cct_record(cct,
+                              {to_u64(c.attr("k")), to_u64(c.attr("p")),
+                               to_u64(c.attr("s")), to_u64(c.attr("cs"))},
+                              "xml", c.offset);
   }
 
   for (const XmlNode& v : root.child("Samples").children) {
     if (v.name != "V") throw InvalidArgument("xml: expected <V>");
-    model::EventVector ev;
-    const auto e = to_u64(v.attr("e"));
-    if (e >= model::kNumEvents) throw InvalidArgument("xml: bad event index");
-    ev.v[e] = to_f64(v.attr("x"));
-    cct.add_samples(static_cast<prof::CctNodeId>(to_u64(v.attr("n"))), ev);
+    detail::add_sample_record(cct, to_u64(v.attr("n")), to_u64(v.attr("e")),
+                              to_f64(v.attr("x")), "xml", v.offset);
   }
 
   Experiment exp(std::move(tree), std::move(cct), root.attr("name"),

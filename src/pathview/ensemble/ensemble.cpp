@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "pathview/support/error.hpp"
+#include "pathview/support/parallel.hpp"
 
 namespace pathview::ensemble {
 
@@ -300,85 +301,78 @@ Ensemble Ensemble::align(
   metrics::MetricTable& table = out.attr_.table;
   const std::size_t rows = ccct.size();
 
-  const metrics::ColumnId presence_col = table.add_column(
-      {std::string(kPresenceColumn), metrics::MetricKind::kSummary,
-       model::Event::kCycles, true, {}});
   table.ensure_rows(rows);
+  std::vector<double> presence(rows);
   for (std::size_t r = 0; r < rows; ++r)
-    table.set(presence_col, r,
-              static_cast<double>(out.presence_count(static_cast<CctNodeId>(r))));
+    presence[r] =
+        static_cast<double>(out.presence_count(static_cast<CctNodeId>(r)));
+  table.add_column({std::string(kPresenceColumn), metrics::MetricKind::kSummary,
+                    model::Event::kCycles, true, {}},
+                   std::move(presence));
 
+  // One block per (event, incl/excl): N run columns, then 7 statistics.
+  // Blocks are built off-table by independent tasks — each member's task
+  // owns that member's run buffers, each block's task owns that block's
+  // statistic buffers — and moved into the table afterwards in this order.
+  // Every cell sees the same operations in the same order as a serial
+  // build, so the table is bit-identical for any worker count.
   struct Block {
     model::Event e;
     bool incl;
-    std::vector<metrics::ColumnId> runs;
-    metrics::ColumnId mean, min, max, stddev, delta, ratio, regressed;
+    std::vector<std::vector<double>> runs;  // [member][row]
+    std::vector<std::vector<double>> stats;  // [stat_cols order][row]
   };
-  const std::string bref = "run" + std::to_string(out.opts_.baseline);
+  const double thr = out.opts_.regress_threshold;
+  const std::size_t B = out.opts_.baseline;
+  const std::string bref = "run" + std::to_string(B);
+  const struct {
+    std::string_view stat;
+    metrics::MetricKind kind;
+    std::string formula;
+  } stat_cols[] = {
+      {"mean", metrics::MetricKind::kSummary, {}},
+      {"min", metrics::MetricKind::kSummary, {}},
+      {"max", metrics::MetricKind::kSummary, {}},
+      {"stddev", metrics::MetricKind::kSummary, {}},
+      {"delta", metrics::MetricKind::kDerived,
+       "mean(non-baseline runs) - " + bref},
+      {"ratio", metrics::MetricKind::kDerived,
+       "mean(non-baseline runs) / " + bref},
+      {"regressed", metrics::MetricKind::kDerived,
+       "delta > " + std::to_string(thr) + " * " + bref}};
   std::vector<Block> blocks;
-  for (const model::Event e : events) {
-    for (const bool incl : {true, false}) {
-      Block b;
-      b.e = e;
-      b.incl = incl;
-      const std::string base =
-          std::string(model::event_name(e)) + (incl ? " (I)" : " (E)");
-      b.runs.reserve(N);
-      for (std::size_t k = 0; k < N; ++k)
-        b.runs.push_back(table.add_column(
-            {run_column(base, k), metrics::MetricKind::kRaw, e, incl, {}}));
-      auto summary = [&](std::string_view stat) {
-        return table.add_column({stat_column(base, stat),
-                                 metrics::MetricKind::kSummary, e, incl, {}});
-      };
-      b.mean = summary("mean");
-      b.min = summary("min");
-      b.max = summary("max");
-      b.stddev = summary("stddev");
-      b.delta = table.add_column({stat_column(base, "delta"),
-                                 metrics::MetricKind::kDerived, e, incl,
-                                 "mean(non-baseline runs) - " + bref});
-      b.ratio = table.add_column({stat_column(base, "ratio"),
-                                 metrics::MetricKind::kDerived, e, incl,
-                                 "mean(non-baseline runs) / " + bref});
-      b.regressed = table.add_column(
-          {stat_column(base, "regressed"), metrics::MetricKind::kDerived, e,
-           incl,
-           "delta > " + std::to_string(out.opts_.regress_threshold) + " * " +
-               bref});
-      blocks.push_back(std::move(b));
-    }
-  }
-  table.ensure_rows(rows);
+  for (const model::Event e : events)
+    for (const bool incl : {true, false})
+      blocks.push_back({e, incl, std::vector<std::vector<double>>(N), {}});
 
-  // Scatter one member attribution at a time (bounds peak memory to one
-  // member's table). `add`, not `set`: distinct member nodes may legally
-  // merge into one supergraph node.
-  for (std::size_t k = 0; k < N; ++k) {
+  // Per member: attribute its own CCT, then scatter through its node map.
+  // `+=`, not `=`: distinct member nodes may legally merge into one
+  // supergraph node.
+  support::parallel_for(N, [&](std::size_t k) {
     const metrics::Attribution ak =
         metrics::attribute_metrics(members[k]->cct(), events);
     const std::vector<CctNodeId>& map = out.maps_[k];
-    for (const Block& b : blocks) {
+    for (Block& b : blocks) {
       const std::span<const double> src = ak.table.column(
           b.incl ? ak.cols.inclusive(b.e) : ak.cols.exclusive(b.e));
+      std::vector<double> dst(rows, 0.0);
       for (std::size_t i = 0; i < src.size(); ++i)
-        if (src[i] != 0.0) table.add(b.runs[k], map[i], src[i]);
+        if (src[i] != 0.0) dst[map[i]] += src[i];
+      b.runs[k] = std::move(dst);
     }
-  }
+  });
 
-  const double thr = out.opts_.regress_threshold;
-  const std::size_t B = out.opts_.baseline;
-  for (const Block& b : blocks) {
-    std::vector<std::span<const double>> runs;
-    runs.reserve(N);
-    for (const metrics::ColumnId c : b.runs) runs.push_back(table.column(c));
-    const std::span<double> dmean = table.column_mut(b.mean);
-    const std::span<double> dmin = table.column_mut(b.min);
-    const std::span<double> dmax = table.column_mut(b.max);
-    const std::span<double> dstd = table.column_mut(b.stddev);
-    const std::span<double> ddelta = table.column_mut(b.delta);
-    const std::span<double> dratio = table.column_mut(b.ratio);
-    const std::span<double> dregr = table.column_mut(b.regressed);
+  support::parallel_for(blocks.size(), [&](std::size_t j) {
+    const std::vector<std::vector<double>>& runs = blocks[j].runs;
+    std::vector<std::vector<double>> stats(std::size(stat_cols),
+                                           std::vector<double>(rows));
+    std::vector<double>& dmean = stats[0];
+    std::vector<double>& dmin = stats[1];
+    std::vector<double>& dmax = stats[2];
+    std::vector<double>& dstd = stats[3];
+    std::vector<double>& ddelta = stats[4];
+    std::vector<double>& dratio = stats[5];
+    std::vector<double>& dregr = stats[6];
     for (std::size_t r = 0; r < rows; ++r) {
       double sum = 0.0;
       double mn = std::numeric_limits<double>::infinity();
@@ -410,6 +404,20 @@ Ensemble Ensemble::align(
                      ? 1.0
                      : 0.0;
     }
+    blocks[j].stats = std::move(stats);
+  });
+
+  for (Block& b : blocks) {
+    const std::string base =
+        std::string(model::event_name(b.e)) + (b.incl ? " (I)" : " (E)");
+    for (std::size_t k = 0; k < N; ++k)
+      table.add_column(
+          {run_column(base, k), metrics::MetricKind::kRaw, b.e, b.incl, {}},
+          std::move(b.runs[k]));
+    for (std::size_t s = 0; s < std::size(stat_cols); ++s)
+      table.add_column({stat_column(base, stat_cols[s].stat), stat_cols[s].kind,
+                        b.e, b.incl, stat_cols[s].formula},
+                       std::move(b.stats[s]));
   }
   return out;
 }

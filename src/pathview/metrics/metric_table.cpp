@@ -7,11 +7,19 @@
 namespace pathview::metrics {
 
 ColumnId MetricTable::add_column(MetricDesc desc) {
+  return add_column(std::move(desc), std::vector<double>(nrows_, 0.0));
+}
+
+ColumnId MetricTable::add_column(MetricDesc desc, std::vector<double> values) {
+  if (values.size() != nrows_)
+    throw InvalidArgument("MetricTable::add_column: " +
+                          std::to_string(values.size()) + " values for " +
+                          std::to_string(nrows_) + " rows");
   const auto id = static_cast<ColumnId>(cols_.size());
   Column col;
   col.name = names_.intern(desc.name);
   col.desc = std::move(desc);
-  col.values.assign(nrows_, 0.0);
+  col.values = std::move(values);
   by_name_.try_emplace(col.name, id);  // first column with this name wins
   cols_.push_back(std::move(col));
   return id;

@@ -47,6 +47,9 @@ using pathview::NameId;
 class MetricTable {
  public:
   ColumnId add_column(MetricDesc desc);
+  /// Add a column that takes over a ready buffer of exactly num_rows()
+  /// values (no zero fill); throws InvalidArgument on a size mismatch.
+  ColumnId add_column(MetricDesc desc, std::vector<double> values);
 
   std::size_t num_columns() const { return cols_.size(); }
   std::size_t num_rows() const { return nrows_; }

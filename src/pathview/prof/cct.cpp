@@ -30,12 +30,11 @@ CanonicalCct::CanonicalCct(const structure::StructureTree* tree) : tree_(tree) {
 }
 
 void CanonicalCct::ensure_edges() {
-  if (edges_.size() + 1 == nodes_.size()) return;
-  edges_.clear();
+  if (indexed_ == nodes_.size()) return;
   edges_.reserve(nodes_.size());
-  for (CctNodeId id = 1; id < nodes_.size(); ++id) {
-    const CctNode& n = nodes_[id];
-    edges_.emplace(EdgeKey{n.parent, n.kind, n.scope, n.call_site}, id);
+  for (; indexed_ < nodes_.size(); ++indexed_) {
+    const auto id = static_cast<CctNodeId>(indexed_);
+    edges_.insert(detail::edge_key(nodes_[id]), id, key_of());
   }
 }
 
@@ -43,9 +42,11 @@ CctNodeId CanonicalCct::find_or_add_child(CctNodeId parent, CctKind kind,
                                           structure::SNodeId scope,
                                           structure::SNodeId call_site) {
   ensure_edges();
-  const EdgeKey key{parent, kind, scope, call_site};
-  if (auto it = edges_.find(key); it != edges_.end()) return it->second;
   const auto id = static_cast<CctNodeId>(nodes_.size());
+  const CctNodeId found = edges_.insert(
+      {parent, static_cast<std::uint8_t>(kind), scope, call_site}, id,
+      key_of());
+  if (found != id) return found;
   CctNode n;
   n.kind = kind;
   n.parent = parent;
@@ -54,7 +55,7 @@ CctNodeId CanonicalCct::find_or_add_child(CctNodeId parent, CctKind kind,
   nodes_.push_back(std::move(n));
   samples_.emplace_back();
   nodes_[parent].children.push_back(id);
-  edges_.emplace(key, id);
+  indexed_ = nodes_.size();
   PV_COUNTER_ADD("prof.cct_nodes_allocated", 1);
   return id;
 }
@@ -111,10 +112,12 @@ std::vector<CctNodeId> CanonicalCct::merge(const CanonicalCct& other) {
 std::vector<CctNodeId> CanonicalCct::merge(CanonicalCct&& other) {
   if (tree_ != other.tree_)
     throw InvalidArgument("CanonicalCct::merge: different structure trees");
-  if (nodes_.size() == 1 && samples_[kCctRoot].all_zero() && edges_.empty()) {
+  if (nodes_.size() == 1 && samples_[kCctRoot].all_zero() &&
+      edges_.size() == 0) {
     nodes_ = std::move(other.nodes_);
     samples_ = std::move(other.samples_);
     edges_ = std::move(other.edges_);
+    indexed_ = other.indexed_;
     degraded_ = degraded_ || other.degraded_;
     std::vector<CctNodeId> map(nodes_.size());
     std::iota(map.begin(), map.end(), 0u);
@@ -129,6 +132,7 @@ CanonicalCct CanonicalCct::clone_with_tree(
   out.nodes_ = nodes_;
   out.samples_ = samples_;
   out.edges_ = edges_;
+  out.indexed_ = indexed_;
   out.degraded_ = degraded_;
   return out;
 }

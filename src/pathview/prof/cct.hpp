@@ -7,13 +7,20 @@
 // according to the structure tree. Raw sample counts live on statement
 // scopes; all metric attribution (inclusive/exclusive, Eq. 1 & 2) is done by
 // pathview::metrics on top of this tree.
+//
+// Keyed insertion (find_or_add_child) goes through a flat sibling index
+// (prof/edge_index.hpp): an open-addressing table of 8-byte slots — a node
+// id plus a 32-bit hash tag, no key — at load factor <= 0.75 over a
+// power-of-two capacity. The key lives in the node itself, so the index
+// costs at most 8 / 0.375 ~ 21.3 bytes per node (about half that right after
+// a doubling), and nothing at all until the first keyed insert.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "pathview/model/program.hpp"
+#include "pathview/prof/edge_index.hpp"
 #include "pathview/structure/structure_tree.hpp"
 
 namespace pathview::prof {
@@ -75,8 +82,9 @@ class CanonicalCct {
   /// Bulk-construction path (used by the pipeline merge, which materializes
   /// an already-deduplicated union tree): append a child WITHOUT looking for
   /// an existing sibling of the same identity — the caller guarantees
-  /// uniqueness. The sibling index that backs find_or_add_child is rebuilt
-  /// lazily on its next use.
+  /// uniqueness. The sibling index that backs find_or_add_child catches up
+  /// lazily on its next use (appended nodes are indexed in id order, so
+  /// among equal keys the lowest id is the one found).
   CctNodeId append_child(CctNodeId parent, CctKind kind,
                          structure::SNodeId scope,
                          structure::SNodeId call_site = structure::kSNull);
@@ -138,31 +146,20 @@ class CanonicalCct {
   }
 
  private:
-  struct EdgeKey {
-    CctNodeId parent;
-    CctKind kind;
-    structure::SNodeId scope;
-    structure::SNodeId call_site;
-    bool operator==(const EdgeKey&) const = default;
-  };
-  struct EdgeKeyHash {
-    std::size_t operator()(const EdgeKey& k) const {
-      std::uint64_t h = k.parent;
-      h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(k.kind);
-      h = h * 0xbf58476d1ce4e5b9ULL + k.scope;
-      h = h * 0x94d049bb133111ebULL + k.call_site;
-      return static_cast<std::size_t>(h ^ (h >> 31));
-    }
-  };
-
-  /// Rebuild `edges_` from `nodes_` if append_child left it stale.
+  /// Index the nodes append_child added since the last keyed insert.
   void ensure_edges();
+  /// The edge key of a stored node, as the sibling index reads it.
+  auto key_of() const {
+    return [this](CctNodeId id) { return detail::edge_key(nodes_[id]); };
+  }
 
   const structure::StructureTree* tree_;
   std::vector<CctNode> nodes_;
   std::vector<model::EventVector> samples_;
   bool degraded_ = false;
-  std::unordered_map<EdgeKey, CctNodeId, EdgeKeyHash> edges_;
+  detail::EdgeIndex edges_;
+  // Nodes [1, indexed_) are in edges_ (the root is never indexed).
+  std::size_t indexed_ = 1;
 };
 
 }  // namespace pathview::prof

@@ -1,7 +1,6 @@
 #include "pathview/prof/pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <memory>
@@ -13,6 +12,7 @@
 #include "pathview/obs/obs.hpp"
 #include "pathview/prof/correlate.hpp"
 #include "pathview/support/error.hpp"
+#include "pathview/support/parallel.hpp"
 
 namespace pathview::prof {
 
@@ -453,9 +453,7 @@ class TreeMerger {
              std::function<void(std::uint32_t)> make_part)
       : opts_(opts), ctx_(ctx), nparts_(nparts),
         make_part_(std::move(make_part)) {
-    nthreads_ = opts.nthreads == 0
-                    ? std::max(1u, std::thread::hardware_concurrency())
-                    : opts.nthreads;
+    nthreads_ = support::resolve_threads(opts.nthreads);
     arity_ = std::max(2u, opts.reduction_arity);
     batch_ = opts.batch_size;
     if (batch_ == 0) {
@@ -646,28 +644,10 @@ std::vector<CanonicalCct> Pipeline::correlate(
   for (std::size_t i = 0; i < ranks.size(); ++i)
     out.emplace_back(&tree);  // placeholders; filled below
 
-  std::uint32_t nthreads = opts_.nthreads == 0
-                               ? std::max(1u, std::thread::hardware_concurrency())
-                               : opts_.nthreads;
-  nthreads = std::min<std::uint32_t>(nthreads,
-                                     static_cast<std::uint32_t>(ranks.size()));
-
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= ranks.size()) return;
-      out[i] = prof::correlate(ranks[i], tree);
-    }
-  };
-  if (nthreads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(nthreads);
-    for (std::uint32_t t = 0; t < nthreads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+  support::parallel_for(
+      ranks.size(),
+      [&](std::size_t i) { out[i] = prof::correlate(ranks[i], tree); },
+      opts_.nthreads);
   return out;
 }
 

@@ -5,20 +5,30 @@
 
 namespace pathview::prof {
 
+namespace {
+
+struct KeyOf {
+  const CanonicalCct* cct;
+  detail::EdgeKey operator()(CctNodeId id) const {
+    return detail::edge_key(cct->node(id));
+  }
+};
+
+}  // namespace
+
 TraceResolver::TraceResolver(const CanonicalCct& cct) : cct_(&cct) {
   PV_SPAN("trace.resolve.index");
   edges_.reserve(cct.size());
-  for (CctNodeId id = 1; id < cct.size(); ++id) {
-    const CctNode& n = cct.node(id);
-    edges_.emplace(Key{n.parent, n.kind, n.scope, n.call_site}, id);
-  }
+  for (CctNodeId id = 1; id < cct.size(); ++id)
+    edges_.insert(detail::edge_key(cct.node(id)), id, KeyOf{cct_});
 }
 
 CctNodeId TraceResolver::find_child(CctNodeId parent, CctKind kind,
                                     structure::SNodeId scope,
                                     structure::SNodeId call_site) const {
-  const auto it = edges_.find(Key{parent, kind, scope, call_site});
-  return it == edges_.end() ? kCctNull : it->second;
+  static_assert(detail::EdgeIndex::kNone == kCctNull);
+  return edges_.find(
+      {parent, static_cast<std::uint8_t>(kind), scope, call_site}, KeyOf{cct_});
 }
 
 CctNodeId TraceResolver::descend_static_chain(

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "pathview/prof/cct.hpp"
+#include "pathview/prof/edge_index.hpp"
 #include "pathview/sim/raw_profile.hpp"
 #include "pathview/sim/trace.hpp"
 
@@ -69,28 +70,11 @@ class TraceResolver {
                        structure::SNodeId call_site = structure::kSNull) const;
 
  private:
-  struct Key {
-    CctNodeId parent;
-    CctKind kind;
-    structure::SNodeId scope;
-    structure::SNodeId call_site;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::uint64_t h = k.parent;
-      h = h * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(k.kind);
-      h = h * 0xbf58476d1ce4e5b9ULL + k.scope;
-      h = h * 0x94d049bb133111ebULL + k.call_site;
-      return static_cast<std::size_t>(h ^ (h >> 31));
-    }
-  };
-
   CctNodeId descend_static_chain(CctNodeId at,
                                  structure::SNodeId stmt_scope) const;
 
   const CanonicalCct* cct_;
-  std::unordered_map<Key, CctNodeId, KeyHash> edges_;
+  detail::EdgeIndex edges_;
 };
 
 }  // namespace pathview::prof

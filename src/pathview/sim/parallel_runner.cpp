@@ -1,10 +1,10 @@
 #include "pathview/sim/parallel_runner.hpp"
 
-#include <atomic>
-#include <thread>
+#include <algorithm>
 
 #include "pathview/obs/obs.hpp"
 #include "pathview/support/error.hpp"
+#include "pathview/support/parallel.hpp"
 
 namespace pathview::sim {
 
@@ -18,36 +18,23 @@ std::vector<RawProfile> run_parallel(const model::Program& prog,
 
   std::vector<RawProfile> out(contexts);
 
-  std::uint32_t nthreads = cfg.nthreads;
-  if (nthreads == 0) nthreads = std::max(1u, std::thread::hardware_concurrency());
-  nthreads = std::min(nthreads, contexts);
-
-  std::atomic<std::uint32_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::uint32_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= contexts) return;
-      RunConfig rc = cfg.base;
-      rc.rank = i / tpr;
-      rc.nranks = cfg.nranks;
-      // Independent stream per (rank, thread).
-      rc.seed = cfg.base.seed * 0x9e3779b97f4a7c15ULL + i;
-      rc.trace.sink =
-          cfg.trace_sink_for ? cfg.trace_sink_for(i / tpr, i % tpr) : nullptr;
-      ExecutionEngine engine(prog, aspace, std::move(rc));
-      out[i] = engine.run();
-      out[i].thread = i % tpr;
-    }
-  };
-
-  if (nthreads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(nthreads);
-    for (std::uint32_t i = 0; i < nthreads; ++i) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+  support::parallel_for(
+      contexts,
+      [&](std::size_t i) {
+        RunConfig rc = cfg.base;
+        const auto thread = static_cast<std::uint32_t>(i % tpr);
+        rc.rank = static_cast<std::uint32_t>(i / tpr);
+        rc.nranks = cfg.nranks;
+        // Independent stream per (rank, thread).
+        rc.seed = cfg.base.seed * 0x9e3779b97f4a7c15ULL + i;
+        rc.trace.sink = cfg.trace_sink_for
+                            ? cfg.trace_sink_for(rc.rank, thread)
+                            : nullptr;
+        ExecutionEngine engine(prog, aspace, std::move(rc));
+        out[i] = engine.run();
+        out[i].thread = thread;
+      },
+      cfg.nthreads);
   return out;
 }
 

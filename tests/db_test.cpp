@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
+#include <string>
 
 #include "pathview/db/experiment.hpp"
 #include "pathview/db/xml.hpp"
@@ -206,6 +208,63 @@ TEST(XmlDb, TruncationPrefixesThrowTypedErrors) {
     } catch (const Error&) {
     }
   }
+}
+
+/// The paper experiment with one CCT node written twice: node 1's record is
+/// appended again (append_child does not deduplicate), so both writers emit
+/// a well-formed, checksummed file holding a duplicate record.
+Experiment experiment_with_duplicate_record() {
+  const Experiment exp = paper_experiment();
+  auto tree = std::make_unique<structure::StructureTree>(exp.tree());
+  prof::CanonicalCct cct = exp.cct().clone_with_tree(tree.get());
+  const prof::CctNode n1 = cct.node(1);
+  cct.append_child(n1.parent, n1.kind, n1.scope, n1.call_site);
+  return Experiment(std::move(tree), std::move(cct), "dup", 1);
+}
+
+TEST(BinaryDb, RejectsDuplicateCctRecord) {
+  // Folding the duplicate into node 1 would shift every later node id and
+  // hang later records and samples off the wrong nodes.
+  const std::string bytes = to_binary(experiment_with_duplicate_record());
+  try {
+    from_binary(bytes);
+    FAIL() << "duplicate CCT record accepted";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate cct record"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(XmlDb, RejectsDuplicateCctRecord) {
+  EXPECT_THROW(from_xml(to_xml(experiment_with_duplicate_record())),
+               ParseError);
+}
+
+TEST(XmlDb, RejectsOutOfRangeParentAndSampleNode) {
+  const std::string xml = to_xml(paper_experiment());
+  const auto replace_first = [&xml](const std::string& from,
+                                    const std::string& to) {
+    std::string out = xml;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  // A <N> whose parent is past the end of the nodes decoded so far.
+  EXPECT_THROW(from_xml(replace_first("<N k=\"1\" p=\"0\"",
+                                      "<N k=\"1\" p=\"4000000\"")),
+               ParseError);
+  // A <V> naming a node past the end of the CCT.
+  EXPECT_THROW(from_xml(replace_first("<V n=\"", "<V n=\"4000000")),
+               ParseError);
+  // Out-of-range kind, scope and call site take the same typed path.
+  EXPECT_THROW(from_xml(replace_first("<N k=\"1\"", "<N k=\"9\"")),
+               ParseError);
+  EXPECT_THROW(from_xml(replace_first("\" s=\"", "\" s=\"4000000")),
+               ParseError);
+  EXPECT_THROW(from_xml(replace_first("\" cs=\"", "\" cs=\"4000000")),
+               ParseError);
 }
 
 TEST(Db, MissingFilesThrowTypedErrors) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "pathview/structure/lower.hpp"
 #include "pathview/structure/recovery.hpp"
 #include "pathview/support/error.hpp"
+#include "pathview/workloads/random_program.hpp"
 
 namespace pathview::ensemble {
 namespace {
@@ -242,6 +244,100 @@ TEST(Ensemble, AlignValidatesItsInputs) {
   bad_thr.regress_threshold = -0.1;
   EXPECT_THROW(Ensemble::align({a, a}, bad_thr), InvalidArgument);
   EXPECT_THROW(Ensemble::align({a, a}, {"one-path"}, {}), InvalidArgument);
+}
+
+/// Six seeded members: runs 0-3 of one random program and runs 4-5 of a
+/// second, so the supergraph holds nodes that only some members contain.
+std::vector<std::shared_ptr<const db::Experiment>> seeded_members() {
+  std::vector<std::shared_ptr<const db::Experiment>> out;
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    const workloads::Workload w = workloads::make_random_program(
+        {.seed = k < 4 ? 61u : 62u, .num_procs = 8, .max_body_stmts = 3});
+    sim::RunConfig rc = w.run;
+    rc.seed = 1000 + k;
+    sim::ExecutionEngine eng(*w.program, *w.lowering, rc);
+    const prof::CanonicalCct cct = prof::correlate(eng.run(), *w.tree);
+    out.push_back(std::make_shared<db::Experiment>(db::Experiment::capture(
+        *w.tree, cct, "m" + std::to_string(k), 1)));
+  }
+  return out;
+}
+
+/// FNV-1a over every supergraph node (kind, parent, label, per-member
+/// presence) and every metric-table cell's bits, columns in table order.
+/// `slot_of[k]` is original member k's position in `e`'s member list: run
+/// columns and presence bits are read through it, so a member-shuffled
+/// alignment digests like the unshuffled one. `with_stddev` false skips the
+/// stddev columns, the one statistic whose rounding follows member order.
+std::uint64_t ensemble_digest(const Ensemble& e,
+                              const std::vector<std::size_t>& slot_of,
+                              bool with_stddev = true) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= static_cast<const unsigned char*>(p)[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_str = [&](const std::string& s) {
+    mix(s.data(), s.size() + 1);
+  };
+  const prof::CanonicalCct& cct = e.cct();
+  for (prof::CctNodeId n = 0; n < cct.size(); ++n) {
+    const prof::CctNode& node = cct.node(n);
+    mix(&node.kind, sizeof node.kind);
+    mix(&node.parent, sizeof node.parent);
+    mix_str(cct.label(n));
+    for (const std::size_t slot : slot_of) {
+      const bool bit = e.present(n, slot);
+      mix(&bit, sizeof bit);
+    }
+  }
+  const metrics::MetricTable& t = e.attribution().table;
+  for (metrics::ColumnId c = 0; c < t.num_columns(); ++c) {
+    const std::string& name = t.desc(c).name;
+    if (!with_stddev && name.ends_with(" stddev")) continue;
+    mix_str(name);
+    metrics::ColumnId src = c;
+    if (const auto pos = name.rfind(" run"); pos != std::string::npos &&
+        name.find_first_not_of("0123456789", pos + 4) == std::string::npos) {
+      const std::size_t k = std::stoul(name.substr(pos + 4));
+      src = *t.find(run_column(name.substr(0, pos), slot_of[k]));
+    }
+    for (const double v : t.column(src)) {
+      std::uint64_t bits;
+      std::memcpy(&bits, &v, sizeof bits);
+      mix(&bits, sizeof bits);
+    }
+  }
+  return h;
+}
+
+TEST(Ensemble, SeededSixMemberDigestIsPinned) {
+  // Both values were recorded from the serial column build; the parallel
+  // build must reproduce every bit, in member order and under a shuffle.
+  constexpr std::uint64_t kPinned = 6796490366696053434ULL;
+  constexpr std::uint64_t kPinnedShuffled = 14167355326812926060ULL;
+  const auto members = seeded_members();
+  const Ensemble e = Ensemble::align(members);
+  EXPECT_GT(e.cct().size(), members[0]->cct().size());
+  EXPECT_EQ(ensemble_digest(e, {0, 1, 2, 3, 4, 5}), kPinned);
+
+  const std::vector<std::size_t> perm = {3, 5, 0, 4, 1, 2};
+  std::vector<std::shared_ptr<const db::Experiment>> shuffled;
+  std::vector<std::size_t> slot_of(perm.size());
+  for (std::size_t p = 0; p < perm.size(); ++p) {
+    shuffled.push_back(members[perm[p]]);
+    slot_of[perm[p]] = p;
+  }
+  EnsembleOptions opts;
+  opts.baseline = slot_of[0];
+  const Ensemble s = Ensemble::align(shuffled, opts);
+  EXPECT_EQ(ensemble_digest(s, slot_of), kPinnedShuffled);
+  // Only stddev's summation order follows the member order; every other
+  // node and cell is shuffle-invariant bit for bit.
+  EXPECT_EQ(ensemble_digest(s, slot_of, false),
+            ensemble_digest(e, {0, 1, 2, 3, 4, 5}, false));
 }
 
 TEST(Ensemble, QueryRunsOverEnsembleColumns) {

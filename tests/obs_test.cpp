@@ -8,8 +8,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "pathview/obs/sampler.hpp"
 #include "pathview/obs/self_profile.hpp"
 #include "pathview/support/error.hpp"
+#include "bench_util.hpp"
 #include "json_util.hpp"
 
 namespace pathview {
@@ -189,6 +193,34 @@ TEST_F(ObsTest, ChromeTraceContainsSpansAndCounters) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(json.find("test.bytes"), std::string::npos);
+}
+
+TEST_F(ObsTest, BenchReportJsonEscapesControlCharacters) {
+  // A control character in any report string (title, config key or value,
+  // metric name) must come out as a JSON escape, not as a raw byte that
+  // makes the report unparseable.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "pathview_bench_report_test";
+  std::filesystem::create_directories(dir);
+  ::setenv("PATHVIEW_BENCH_JSON", dir.c_str(), 1);
+  {
+    bench::Report r("title\twith\x01control", {"bench\n", "", ""});
+    r.config("key\x1f", "value\x03");
+    r.row("metric\x01name\r\n", 1.0, 1.0, 0.5);
+    r.write_json("report.json");
+  }
+  ::unsetenv("PATHVIEW_BENCH_JSON");
+  std::ifstream in(dir / "report.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  std::filesystem::remove_all(dir);
+  EXPECT_TRUE(testutil::JsonValidator(json).valid()) << json;
+  EXPECT_NE(json.find("\"metric\\u0001name\\r\\n\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"key\\u001f\": \"value\\u0003\""),
+            std::string::npos)
+      << json;
 }
 
 TEST_F(ObsTest, PhaseSummaryAggregatesByName) {

@@ -118,6 +118,23 @@ TEST(Pipeline, EmptyInputThrows) {
   EXPECT_THROW(Pipeline().run(no_ranks, *w.tree), InvalidArgument);
 }
 
+TEST(Pipeline, CorrelateErrorOnAWorkerIsRethrown) {
+  // A rank with a sample at an address no statement covers makes
+  // prof::correlate throw on a worker thread; the worker pool must join and
+  // hand the typed error to the caller instead of terminating.
+  workloads::Workload w = workloads::make_random_program({.seed = 6});
+  sim::ParallelConfig pc;
+  pc.nranks = 8;
+  pc.base = w.run;
+  std::vector<sim::RawProfile> raws =
+      sim::run_parallel(*w.program, *w.lowering, pc);
+  raws[5].add_sample(sim::kRawRoot, 0xdeadbeefULL, Event::kCycles, 1.0);
+  PipelineOptions opts;
+  opts.nthreads = 4;
+  EXPECT_THROW(Pipeline(opts).correlate(raws, *w.tree), InvalidArgument);
+  EXPECT_THROW(Pipeline(opts).run(raws, *w.tree), InvalidArgument);
+}
+
 TEST(Pipeline, RejectsMixedStructureTrees) {
   workloads::Workload w1 = workloads::make_random_program({.seed = 4});
   workloads::Workload w2 = workloads::make_random_program({.seed = 4});

@@ -1,6 +1,10 @@
 // Unit tests for correlation, CCT merging and summarization.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <tuple>
+
 #include "pathview/support/error.hpp"
 
 #include "pathview/prof/correlate.hpp"
@@ -122,6 +126,133 @@ TEST(CloneWithTree, ProducesIdenticalShape) {
     EXPECT_EQ(clone.samples(i)[Event::kCycles], cct.samples(i)[Event::kCycles]);
   }
   EXPECT_EQ(&clone.tree(), &tree_copy);
+}
+
+// --- the flat sibling index against a std::map oracle ----------------------
+
+/// Reference CCT: nodes in a vector, the sibling index in a std::map whose
+/// first insert per key wins — CanonicalCct's documented semantics.
+struct RefCct {
+  struct Node {
+    CctKind kind;
+    CctNodeId parent;
+    structure::SNodeId scope, call_site;
+    std::vector<CctNodeId> children;
+    double samples = 0;
+  };
+  using Key = std::tuple<CctNodeId, CctKind, structure::SNodeId,
+                         structure::SNodeId>;
+  std::vector<Node> nodes{
+      Node{CctKind::kRoot, kCctNull, structure::kSNull, structure::kSNull}};
+  std::map<Key, CctNodeId> index;
+
+  CctNodeId add(CctNodeId p, CctKind k, structure::SNodeId s,
+                structure::SNodeId cs) {
+    const auto id = static_cast<CctNodeId>(nodes.size());
+    nodes.push_back(Node{k, p, s, cs});
+    nodes[p].children.push_back(id);
+    index.try_emplace(Key{p, k, s, cs}, id);
+    return id;
+  }
+  CctNodeId find_or_add(CctNodeId p, CctKind k, structure::SNodeId s,
+                        structure::SNodeId cs) {
+    const auto it = index.find(Key{p, k, s, cs});
+    return it != index.end() ? it->second : add(p, k, s, cs);
+  }
+  std::vector<CctNodeId> merge(const RefCct& o) {
+    std::vector<CctNodeId> map(o.nodes.size(), kCctNull);
+    map[kCctRoot] = kCctRoot;
+    nodes[kCctRoot].samples += o.nodes[kCctRoot].samples;
+    for (CctNodeId id = 1; id < o.nodes.size(); ++id) {
+      const Node& n = o.nodes[id];
+      map[id] = find_or_add(map[n.parent], n.kind, n.scope, n.call_site);
+      nodes[map[id]].samples += n.samples;
+    }
+    return map;
+  }
+};
+
+void expect_same(const CanonicalCct& got, const RefCct& want) {
+  ASSERT_EQ(got.size(), want.nodes.size());
+  for (CctNodeId id = 0; id < got.size(); ++id) {
+    const CctNode& g = got.node(id);
+    const RefCct::Node& w = want.nodes[id];
+    ASSERT_EQ(g.kind, w.kind) << id;
+    ASSERT_EQ(g.parent, w.parent) << id;
+    ASSERT_EQ(g.scope, w.scope) << id;
+    ASSERT_EQ(g.call_site, w.call_site) << id;
+    ASSERT_EQ(g.children, w.children) << id;
+    ASSERT_EQ(got.samples(id)[Event::kCycles], w.samples) << id;
+  }
+}
+
+/// Random find_or_add_child / append_child / merge / move-merge /
+/// clone_with_tree sequences over a small key space (so lookups hit often),
+/// including duplicate appends that the lazily caught-up index must resolve
+/// to the lowest id. Thousands of nodes: the index grows past several powers
+/// of two.
+TEST(CctIndexOracle, RandomOperationSequencesMatchStdMap) {
+  const structure::StructureTree tree;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+    const auto random_key = [&](std::size_t size) {
+      const auto p = static_cast<CctNodeId>(pick(size));
+      const auto k = static_cast<CctKind>(1 + pick(4));
+      const auto s = static_cast<structure::SNodeId>(pick(6));
+      const structure::SNodeId cs =
+          pick(3) == 0 ? structure::kSNull
+                       : static_cast<structure::SNodeId>(pick(4));
+      return std::tuple{p, k, s, cs};
+    };
+    // A small random CCT (and its reference) to merge in.
+    const auto random_part = [&](CanonicalCct& c, RefCct& r, int ops) {
+      for (int i = 0; i < ops; ++i) {
+        const auto [p, k, s, cs] = random_key(c.size());
+        const CctNodeId id = c.find_or_add_child(p, k, s, cs);
+        ASSERT_EQ(id, r.find_or_add(p, k, s, cs));
+        model::EventVector ev;
+        ev[Event::kCycles] = static_cast<double>(1 + pick(9));
+        c.add_samples(id, ev);
+        r.nodes[id].samples += ev[Event::kCycles];
+      }
+    };
+
+    CanonicalCct cct(&tree);
+    RefCct ref;
+    for (int op = 0; op < 6000; ++op) {
+      const std::uint64_t dice = pick(100);
+      if (dice < 70) {
+        random_part(cct, ref, 1);
+      } else if (dice < 88) {
+        const auto [p, k, s, cs] = random_key(cct.size());
+        ASSERT_EQ(cct.append_child(p, k, s, cs), ref.add(p, k, s, cs));
+      } else if (dice < 94) {
+        CanonicalCct part(&tree);
+        RefCct rpart;
+        random_part(part, rpart, 40);
+        ASSERT_EQ(cct.merge(part), ref.merge(rpart));
+      } else if (dice < 97) {
+        // Move-merge into a fresh tree steals the whole state, index and
+        // duplicates included.
+        CanonicalCct fresh(&tree);
+        const std::vector<CctNodeId> map = fresh.merge(std::move(cct));
+        ASSERT_EQ(map.size(), ref.nodes.size());
+        for (CctNodeId i = 0; i < map.size(); ++i) ASSERT_EQ(map[i], i);
+        cct = std::move(fresh);
+        // Move-merge into a non-empty tree falls back to the keyed merge.
+        CanonicalCct part(&tree);
+        RefCct rpart;
+        random_part(part, rpart, 20);
+        ASSERT_EQ(cct.merge(std::move(part)), ref.merge(rpart));
+      } else {
+        cct = cct.clone_with_tree(&tree);
+      }
+      if (op % 500 == 0) expect_same(cct, ref);
+    }
+    expect_same(cct, ref);
+    EXPECT_GT(cct.size(), 4000u) << "seed " << seed;
+  }
 }
 
 TEST(Summarize, StatsCoverAllRanks) {

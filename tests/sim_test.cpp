@@ -210,6 +210,16 @@ TEST(ParallelRunner, RejectsZeroRanks) {
   EXPECT_THROW(run_parallel(*w.program, *w.lowering, pc), InvalidArgument);
 }
 
+TEST(ParallelRunner, WorkerErrorIsRethrownAfterJoin) {
+  // Every rank's engine rejects a config with no sampled event; with a
+  // multi-thread pool the error surfaces here instead of terminating.
+  workloads::Workload w = workloads::make_random_program({.seed = 5});
+  ParallelConfig pc;
+  pc.nranks = 6;
+  pc.nthreads = 4;
+  EXPECT_THROW(run_parallel(*w.program, *w.lowering, pc), InvalidArgument);
+}
+
 TEST(RawProfile, CellsAreDeterministicallyOrdered) {
   RawProfile p;
   const auto a = p.child(kRawRoot, 0, 100);

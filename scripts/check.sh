@@ -354,7 +354,8 @@ if [ "${PATHVIEW_SKIP_SANITIZE:-0}" != "1" ]; then
   cmake -B build-tsan -DPATHVIEW_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" \
     --target prof_test pipeline_test obs_test serve_test fault_test \
-    query_test ensemble_test sim_test pvserve pvprof pvrun pvtop pvquery pvdiff
+    query_test ensemble_test sim_test tools_test db_test pvserve pvprof pvrun \
+    pvtop pvquery pvdiff pvstruct pvtrace pvviewer
   build-tsan/tests/prof_test
   build-tsan/tests/pipeline_test
   build-tsan/tests/obs_test
@@ -363,6 +364,8 @@ if [ "${PATHVIEW_SKIP_SANITIZE:-0}" != "1" ]; then
   build-tsan/tests/query_test
   build-tsan/tests/ensemble_test
   build-tsan/tests/sim_test
+  build-tsan/tests/tools_test
+  build-tsan/tests/db_test
   echo "== serve smoke under TSan"
   serve_smoke build-tsan
   echo "== continuous-profiling smoke under TSan"

@@ -5,10 +5,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <dirent.h>
+#include <exception>
+#include <limits>
+#include <optional>
 
+#include "pathview/fault/fault.hpp"
 #include "pathview/obs/obs.hpp"
 #include "pathview/support/error.hpp"
 #include "pathview/support/io.hpp"
+#include "pathview/support/parallel.hpp"
 
 namespace pathview::db {
 
@@ -48,6 +53,14 @@ struct Cursor {
       if ((b & 0x80) == 0) return v;
       shift += 7;
     }
+  }
+  /// Read an element count and reject one whose elements, each at least
+  /// `min_bytes` long, cannot fit in the bytes that remain — so a crafted
+  /// count never drives an allocation larger than the input.
+  std::uint64_t count(std::size_t min_bytes, const char* what) {
+    const std::uint64_t n = u64();
+    if (n > (bytes.size() - pos) / min_bytes) fail(what);
+    return n;
   }
   double f64() {
     if (pos + 8 > bytes.size()) fail("truncated double");
@@ -100,7 +113,10 @@ sim::RawProfile measurement_from_bytes(std::string_view bytes) {
   raw.rank = static_cast<std::uint32_t>(c.u64());
   raw.thread = static_cast<std::uint32_t>(c.u64());
 
-  const std::uint64_t nnodes = c.u64();
+  // A node is at least 3 varint bytes, a cell at least 3 (node, leaf, mask).
+  const std::uint64_t nnodes = c.count(3, "node count exceeds the input");
+  if (nnodes >= std::numeric_limits<sim::NodeIndex>::max())
+    c.fail("node count overflows the node index");
   std::vector<sim::NodeIndex> map(nnodes + 1, sim::kRawRoot);
   for (std::uint64_t i = 1; i <= nnodes; ++i) {
     const auto parent = c.u64();
@@ -110,7 +126,7 @@ sim::RawProfile measurement_from_bytes(std::string_view bytes) {
     map[i] = raw.child(map[parent], call_site, callee);
   }
 
-  const std::uint64_t ncells = c.u64();
+  const std::uint64_t ncells = c.count(3, "cell count exceeds the input");
   for (std::uint64_t i = 0; i < ncells; ++i) {
     const std::uint64_t node = c.u64();
     const std::uint64_t leaf = c.u64();
@@ -140,12 +156,13 @@ void save_measurements(const std::vector<sim::RawProfile>& ranks,
 
 namespace {
 
-/// Every rank number with a "rank-NNNNN.pvms" file in `dir`, sorted.
-std::vector<std::uint32_t> scan_rank_files(const std::string& dir) {
+/// Every rank number with a "rank-NNNNN.pvms" file in `dir`, sorted;
+/// nullopt when the directory cannot be opened.
+std::optional<std::vector<std::uint32_t>> scan_rank_files(
+    const std::string& dir) {
   std::vector<std::uint32_t> ranks;
   DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr)
-    throw InvalidArgument("cannot open measurement directory '" + dir + "'");
+  if (d == nullptr) return std::nullopt;
   while (const dirent* ent = ::readdir(d)) {
     const std::string_view name = ent->d_name;
     if (name.size() != 15 || !name.starts_with("rank-") ||
@@ -163,6 +180,57 @@ std::vector<std::uint32_t> scan_rank_files(const std::string& dir) {
   return ranks;
 }
 
+/// The outcome of loading one rank file.
+struct RankLoad {
+  std::optional<sim::RawProfile> raw;
+  std::exception_ptr error;  // why the file could not be read or decoded
+  bool unreadable = false;   // the failure was reading it, not decoding it
+};
+
+RankLoad load_rank(const std::string& dir, std::uint32_t rank) {
+  PV_SPAN("db.measurement.decode");
+  RankLoad out;
+  try {
+    std::string bytes;
+    try {
+      bytes = support::read_file(measurement_path(dir, rank),
+                                 "db.measurement.load");
+    } catch (const Error&) {
+      out.unreadable = true;
+      throw;
+    }
+    out.raw = measurement_from_bytes(bytes);
+  } catch (...) {
+    out.error = std::current_exception();
+  }
+  return out;
+}
+
+/// Load the files of `ranks` into one slot each. Workers each read and
+/// decode their own file, so the raw bytes of all ranks are never held at
+/// once. With `stop_at_failure`, no rank after a failed one is started;
+/// workers take ranks in ascending order, so every slot before the first
+/// failure is still filled. A fault plan counts site hits in order, so with
+/// one installed the files load on the calling thread and a replayed run
+/// injects the same faults into the same ranks.
+std::vector<RankLoad> load_ranks(const std::string& dir,
+                                 const std::vector<std::uint32_t>& ranks,
+                                 bool stop_at_failure) {
+  std::vector<RankLoad> slots(ranks.size());
+  struct Stop {};
+  try {
+    support::parallel_for(
+        ranks.size(),
+        [&](std::size_t i) {
+          slots[i] = load_rank(dir, ranks[i]);
+          if (stop_at_failure && slots[i].error) throw Stop{};
+        },
+        fault::active() ? 1 : 0);
+  } catch (const Stop&) {
+  }
+  return slots;
+}
+
 }  // namespace
 
 std::vector<sim::RawProfile> load_measurements(const std::string& dir) {
@@ -172,21 +240,29 @@ std::vector<sim::RawProfile> load_measurements(const std::string& dir) {
 std::vector<sim::RawProfile> load_measurements(const std::string& dir,
                                                const LoadOptions& opts,
                                                LoadReport* report) {
+  PV_SPAN("db.measurements.load");
   LoadReport local;
   LoadReport& rep = report != nullptr ? *report : local;
   std::vector<sim::RawProfile> out;
+  const auto present = scan_rank_files(dir);
 
   if (!opts.salvage) {
-    // Strict: dense rank sequence from 0; any damage is fatal.
+    // Strict: dense rank sequence from 0. The first rank without a
+    // readable file ends it; damage before that point is fatal, and the
+    // lowest damaged rank's error is the one thrown. The listed files are
+    // loaded in parallel; ranks past them are probed one at a time (a rank
+    // of 100000 or more outgrows the listed five-digit names).
+    std::vector<std::uint32_t> listed;
+    while (present && listed.size() < present->size() &&
+           (*present)[listed.size()] == listed.size())
+      listed.push_back(static_cast<std::uint32_t>(listed.size()));
+    std::vector<RankLoad> slots = load_ranks(dir, listed, true);
     for (std::uint32_t r = 0;; ++r) {
-      std::string bytes;
-      try {
-        bytes = support::read_file(measurement_path(dir, r),
-                                   "db.measurement.load");
-      } catch (const Error&) {
-        break;  // first missing file ends the sequence
-      }
-      out.push_back(measurement_from_bytes(bytes));
+      RankLoad load =
+          r < slots.size() ? std::move(slots[r]) : load_rank(dir, r);
+      if (load.unreadable) break;
+      if (load.error) std::rethrow_exception(load.error);
+      out.push_back(std::move(*load.raw));
     }
     if (out.empty())
       throw InvalidArgument("no measurement files (rank-00000.pvms) in '" +
@@ -196,25 +272,27 @@ std::vector<sim::RawProfile> load_measurements(const std::string& dir,
 
   // Salvage: take every rank file present, drop the damaged ones, and
   // report both damage and gaps so the caller can mark the result degraded.
-  const std::vector<std::uint32_t> present = scan_rank_files(dir);
-  if (present.empty())
+  if (!present)
+    throw InvalidArgument("cannot open measurement directory '" + dir + "'");
+  if (present->empty())
     throw InvalidArgument("no measurement files (rank-*.pvms) in '" + dir +
                           "'");
-  for (const std::uint32_t r : present) {
+  std::vector<RankLoad> slots = load_ranks(dir, *present, false);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const std::uint32_t r = (*present)[i];
     try {
-      const std::string bytes =
-          support::read_file(measurement_path(dir, r), "db.measurement.load");
-      out.push_back(measurement_from_bytes(bytes));
+      if (slots[i].error) std::rethrow_exception(slots[i].error);
+      out.push_back(std::move(*slots[i].raw));
     } catch (const Error& e) {
       rep.drop_rank(r, "rank " + std::to_string(r) + " dropped: " + e.what());
       PV_COUNTER_ADD("db.salvage.ranks_dropped", 1);
     }
   }
   // Gaps: ranks 0..max present should be dense.
-  const std::uint32_t max_rank = present.back();
+  const std::uint32_t max_rank = present->back();
   std::size_t idx = 0;
   for (std::uint32_t r = 0; r <= max_rank; ++r) {
-    if (idx < present.size() && present[idx] == r) {
+    if (idx < present->size() && (*present)[idx] == r) {
       ++idx;
       continue;
     }

@@ -31,7 +31,10 @@ void save_measurements(const std::vector<sim::RawProfile>& ranks,
                        const std::string& dir);
 
 /// Load every rank file written by save_measurements (ranks 0..N-1 until a
-/// file is missing). Throws when rank 0 is absent or any file is damaged.
+/// file is missing). Throws when rank 0 is absent or any file is damaged;
+/// the error thrown is the lowest damaged rank's. Files are read and
+/// decoded in parallel (one worker per hardware thread); the result and
+/// any error are the same as a serial load's.
 std::vector<sim::RawProfile> load_measurements(const std::string& dir);
 
 /// Load with per-rank damage policy. Strict (the default LoadOptions)

@@ -1,5 +1,7 @@
 #include "pathview/metrics/attribution.hpp"
 
+#include "pathview/obs/obs.hpp"
+
 namespace pathview::metrics {
 
 std::span<const model::Event> all_events() {
@@ -13,6 +15,7 @@ std::span<const model::Event> all_events() {
 
 Attribution attribute_metrics(const prof::CanonicalCct& cct,
                               std::span<const model::Event> events) {
+  PV_SPAN("metrics.attribute");
   Attribution out;
   out.events.assign(events.begin(), events.end());
   out.table.set_degraded(cct.degraded());

@@ -34,14 +34,14 @@ CctNodeId TraceResolver::find_child(CctNodeId parent, CctKind kind,
 CctNodeId TraceResolver::descend_static_chain(
     CctNodeId at, structure::SNodeId stmt_scope) const {
   const structure::StructureTree& tree = cct_->tree();
-  const auto path = tree.path_from_proc(stmt_scope);
-  // path = [proc, (loop|inline)*, stmt]; descend only the middle, exactly as
-  // correlate() inserts it.
-  for (std::size_t i = 1; i + 1 < path.size() && at != kCctNull; ++i) {
-    const structure::SNode& sn = tree.node(path[i]);
-    const CctKind kind = sn.kind == structure::SKind::kLoop ? CctKind::kLoop
-                                                            : CctKind::kInline;
-    at = find_child(at, kind, path[i]);
+  std::vector<structure::SNodeId> chain;
+  tree.scopes_below_proc(stmt_scope, chain);  // innermost first
+  // Descend outermost first, exactly as correlate() inserts the chain.
+  for (auto it = chain.rbegin(); it != chain.rend() && at != kCctNull; ++it) {
+    const CctKind kind = tree.node(*it).kind == structure::SKind::kLoop
+                             ? CctKind::kLoop
+                             : CctKind::kInline;
+    at = find_child(at, kind, *it);
   }
   return at;
 }

@@ -20,25 +20,33 @@ NodeIndex RawProfile::child(NodeIndex parent, model::Addr call_site,
 
 void RawProfile::add_sample(NodeIndex node, model::Addr leaf, model::Event e,
                             double value) {
-  cells_[CellKey{node, leaf}][e] += value;
   ++sample_counts_[static_cast<std::size_t>(e)];
+  // Consecutive samples often hit the same cell (one decoded cell carries
+  // several events); that cell is the last one stored.
+  if (!cells_.empty() && cells_.back().node == node &&
+      cells_.back().leaf == leaf) {
+    cells_.back().counts[e] += value;
+    return;
+  }
+  const auto [it, inserted] = cell_index_.try_emplace(
+      CellKey{node, leaf}, cells_.size());
+  if (inserted) cells_.push_back(Cell{node, leaf, {}});
+  cells_[it->second].counts[e] += value;
 }
 
 std::vector<RawProfile::Cell> RawProfile::cells() const {
-  std::vector<Cell> out;
-  out.reserve(cells_.size());
-  for (const auto& [key, counts] : cells_)
-    out.push_back(Cell{key.node, key.leaf, counts});
-  // Deterministic order independent of hash-map iteration.
-  std::sort(out.begin(), out.end(), [](const Cell& a, const Cell& b) {
+  std::vector<Cell> out = cells_;
+  const auto by_key = [](const Cell& a, const Cell& b) {
     return a.node != b.node ? a.node < b.node : a.leaf < b.leaf;
-  });
+  };
+  if (!std::is_sorted(out.begin(), out.end(), by_key))
+    std::sort(out.begin(), out.end(), by_key);
   return out;
 }
 
 model::EventVector RawProfile::totals() const {
   model::EventVector t;
-  for (const auto& [key, counts] : cells_) t += counts;
+  for (const Cell& c : cells_) t += c.counts;
   return t;
 }
 

@@ -47,6 +47,10 @@ class RawProfile {
     model::Addr leaf;
     model::EventVector counts;
   };
+  /// Every cell, ordered by (node, leaf). Cells are stored in insertion
+  /// order; the copy is sorted only when that order is not already sorted
+  /// (a decoded measurement file inserts its cells in order, the simulator
+  /// does not).
   std::vector<Cell> cells() const;
 
   /// Total number of samples taken per event.
@@ -91,7 +95,8 @@ class RawProfile {
 
   std::vector<TrieNode> nodes_;
   std::unordered_map<EdgeKey, NodeIndex, EdgeKeyHash> edges_;
-  std::unordered_map<CellKey, model::EventVector, CellKeyHash> cells_;
+  std::vector<Cell> cells_;  // insertion order
+  std::unordered_map<CellKey, std::size_t, CellKeyHash> cell_index_;
   std::uint64_t sample_counts_[model::kNumEvents] = {};
 };
 

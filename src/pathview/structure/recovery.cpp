@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "pathview/obs/obs.hpp"
 #include "pathview/structure/cfg.hpp"
 #include "pathview/support/error.hpp"
 
@@ -51,6 +52,7 @@ struct ContainerOrder {
 }  // namespace
 
 StructureTree recover_structure(const BinaryImage& img) {
+  PV_SPAN("structure.recover");
   StructureTree tree;
   auto intern = [&](NameId img_name) {
     return tree.names().intern(img.names().str(img_name));

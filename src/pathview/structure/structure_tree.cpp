@@ -82,6 +82,19 @@ std::vector<SNodeId> StructureTree::path_from_proc(SNodeId n) const {
   return path;
 }
 
+void StructureTree::scopes_below_proc(SNodeId n,
+                                      std::vector<SNodeId>& out) const {
+  out.clear();
+  if (nodes_[n].kind == SKind::kProc) return;
+  SNodeId cur = nodes_[n].parent;
+  for (; cur != kSNull && nodes_[cur].kind != SKind::kProc;
+       cur = nodes_[cur].parent)
+    out.push_back(cur);
+  // Without an enclosing procedure the path starts at the topmost scope,
+  // and that end is not interior either.
+  if (cur == kSNull && !out.empty()) out.pop_back();
+}
+
 SNodeId StructureTree::enclosing_proc(SNodeId n) const {
   for (SNodeId cur = n; cur != kSNull; cur = nodes_[cur].parent)
     if (nodes_[cur].kind == SKind::kProc) return cur;

@@ -75,6 +75,12 @@ class StructureTree {
   /// (inclusive).
   std::vector<SNodeId> path_from_proc(SNodeId n) const;
 
+  /// The interior of path_from_proc(n) — the scopes strictly between the
+  /// enclosing procedure and `n` — written into `out` innermost first.
+  /// Reuses `out`'s storage, so a caller resolving many scopes allocates
+  /// once.
+  void scopes_below_proc(SNodeId n, std::vector<SNodeId>& out) const;
+
   /// Enclosing procedure scope of `n` (n itself if a proc).
   SNodeId enclosing_proc(SNodeId n) const;
   /// Enclosing file scope of `n`.

@@ -1,5 +1,6 @@
 // A bounded fork-join loop: the one worker pool pattern shared by rank
-// simulation, per-rank correlation and ensemble column builds.
+// simulation, the measurement load, per-rank correlation and ensemble
+// column builds.
 #pragma once
 
 #include <cstddef>

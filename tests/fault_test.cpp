@@ -422,6 +422,77 @@ TEST_F(FaultTest, MeasurementSalvageDropsDamagedRanks) {
   ::rmdir(dir.c_str());
 }
 
+/// The error measurement_from_bytes raises for `bytes`.
+std::string decode_error(const std::string& bytes) {
+  try {
+    db::measurement_from_bytes(bytes);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(FaultTest, ParallelMeasurementLoadReportsDamageInRankOrder) {
+  workloads::Workload w = workloads::make_workload("subsurface", 8, 42);
+  const auto raws = workloads::profile_workload(w, 8, 1, nullptr);
+  const std::string dir = "/tmp/pathview_fault_meas_order";
+  for (std::uint32_t r = 0; r < 8; ++r)
+    std::remove(db::measurement_path(dir, r).c_str());
+  ::mkdir(dir.c_str(), 0755);
+  db::save_measurements(raws, dir);
+
+  // Rank 1 gets a bad magic, rank 3 is truncated.
+  const std::string p1 = db::measurement_path(dir, 1);
+  const std::string p3 = db::measurement_path(dir, 3);
+  std::string b1 = slurp(p1);
+  b1[0] = 'X';
+  std::string b3 = slurp(p3);
+  b3.resize(b3.size() / 2);
+  for (const auto& [path, bytes] : {std::pair{p1, b1}, std::pair{p3, b3}}) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const std::string err1 = decode_error(b1);
+  const std::string err3 = decode_error(b3);
+  ASSERT_FALSE(err1.empty());
+  ASSERT_FALSE(err3.empty());
+  ASSERT_NE(err1, err3);
+
+  db::LoadOptions salvage;
+  salvage.salvage = true;
+  for (int rep = 0; rep < 20; ++rep) {
+    SCOPED_TRACE(rep);
+    // Strict: the lowest damaged rank's error, whichever worker finished
+    // first.
+    try {
+      db::load_measurements(dir);
+      ADD_FAILURE() << "strict load accepted damaged ranks";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()), err1);
+    }
+    // Salvage: drops and notes in rank order, survivors as a serial load.
+    db::LoadReport report;
+    const auto got = db::load_measurements(dir, salvage, &report);
+    EXPECT_EQ(report.dropped_ranks, (std::vector<std::uint32_t>{1, 3}));
+    EXPECT_EQ(report.notes, (std::vector<std::string>{
+                                "rank 1 dropped: " + err1,
+                                "rank 3 dropped: " + err3}));
+    ASSERT_EQ(got.size(), 6u);
+    std::size_t i = 0;
+    for (std::uint32_t r = 0; r < 8; ++r) {
+      if (r == 1 || r == 3) continue;
+      EXPECT_EQ(got[i].rank, r);
+      EXPECT_EQ(db::measurement_to_bytes(got[i]),
+                db::measurement_to_bytes(raws[r]));
+      ++i;
+    }
+  }
+
+  for (std::uint32_t r = 0; r < 8; ++r)
+    std::remove(db::measurement_path(dir, r).c_str());
+  ::rmdir(dir.c_str());
+}
+
 // --- degraded propagation through the pipeline -------------------------------
 
 TEST_F(FaultTest, DegradedFlagPropagatesThroughMergeAndPipeline) {

@@ -1,6 +1,7 @@
 // Unit tests for correlation, CCT merging and summarization.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <random>
 #include <tuple>
@@ -253,6 +254,129 @@ TEST(CctIndexOracle, RandomOperationSequencesMatchStdMap) {
     expect_same(cct, ref);
     EXPECT_GT(cct.size(), 4000u) << "seed " << seed;
   }
+}
+
+// --- correlate against its two-pass keyed oracle ----------------------------
+
+/// The keyed reference for correlate(): build the full CCT, then rebuild
+/// every node with nonzero inclusive samples into a second tree through
+/// find_or_add_child, static chains from path_from_proc.
+CanonicalCct correlate_reference(const sim::RawProfile& raw,
+                                 const structure::StructureTree& tree) {
+  CanonicalCct cct(&tree);
+  const auto insert_chain = [&](CctNodeId at, structure::SNodeId stmt) {
+    const auto path = tree.path_from_proc(stmt);
+    for (std::size_t i = 1; i + 1 < path.size(); ++i) {
+      const CctKind kind = tree.node(path[i]).kind == structure::SKind::kLoop
+                               ? CctKind::kLoop
+                               : CctKind::kInline;
+      at = cct.find_or_add_child(at, kind, path[i]);
+    }
+    return at;
+  };
+  const auto& trie = raw.nodes();
+  std::vector<CctNodeId> frame_of(trie.size(), kCctNull);
+  frame_of[sim::kRawRoot] = cct.root();
+  for (sim::NodeIndex i = 1; i < trie.size(); ++i) {
+    CctNodeId at = frame_of[trie[i].parent];
+    structure::SNodeId call_site = structure::kSNull;
+    if (trie[i].call_site != 0) {
+      call_site = tree.stmt_of_addr(trie[i].call_site);
+      at = insert_chain(at, call_site);
+    }
+    frame_of[i] = cct.find_or_add_child(
+        at, CctKind::kFrame, tree.proc_of_entry(trie[i].callee_entry),
+        call_site);
+  }
+  for (const sim::RawProfile::Cell& cell : raw.cells()) {
+    const structure::SNodeId stmt = tree.stmt_of_addr(cell.leaf);
+    const CctNodeId at = insert_chain(frame_of[cell.node], stmt);
+    cct.add_samples(cct.find_or_add_child(at, CctKind::kStmt, stmt),
+                    cell.counts);
+  }
+  const std::vector<model::EventVector> incl = cct.inclusive_samples();
+  CanonicalCct pruned(&tree);
+  std::vector<CctNodeId> map(cct.size(), kCctNull);
+  map[kCctRoot] = pruned.root();
+  for (CctNodeId id = 1; id < cct.size(); ++id) {
+    const CctNode& n = cct.node(id);
+    if (incl[id].all_zero() || map[n.parent] == kCctNull) continue;
+    map[id] =
+        pruned.find_or_add_child(map[n.parent], n.kind, n.scope, n.call_site);
+    pruned.add_samples(map[id], cct.samples(id));
+  }
+  return pruned;
+}
+
+/// Node fields, child lists and sample bits, node by node.
+void expect_identical(const CanonicalCct& got, const CanonicalCct& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (CctNodeId id = 0; id < got.size(); ++id) {
+    const CctNode& g = got.node(id);
+    const CctNode& w = want.node(id);
+    ASSERT_EQ(g.kind, w.kind) << id;
+    ASSERT_EQ(g.parent, w.parent) << id;
+    ASSERT_EQ(g.scope, w.scope) << id;
+    ASSERT_EQ(g.call_site, w.call_site) << id;
+    ASSERT_EQ(g.children, w.children) << id;
+    for (std::size_t e = 0; e < model::kNumEvents; ++e)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got.samples(id).v[e]),
+                std::bit_cast<std::uint64_t>(want.samples(id).v[e]))
+          << id;
+  }
+}
+
+TEST(CorrelateOracle, MatchesKeyedRebuildOnRandomPrograms) {
+  for (const std::uint64_t seed : {3u, 17u, 29u, 41u}) {
+    SCOPED_TRACE(seed);
+    workloads::Workload w = workloads::make_random_program(
+        {.seed = seed, .num_procs = 12, .max_stmt_depth = 4});
+    sim::ParallelConfig pc;
+    pc.nranks = 3;
+    pc.base = w.run;
+    const auto raws = sim::run_parallel(*w.program, *w.lowering, pc);
+    std::vector<CanonicalCct> want;
+    for (const sim::RawProfile& raw : raws) {
+      want.push_back(correlate_reference(raw, *w.tree));
+      expect_identical(correlate(raw, *w.tree), want.back());
+    }
+    PipelineOptions popts;
+    popts.nthreads = 2;
+    expect_identical(Pipeline(popts).run(raws, *w.tree), merge_serial(want));
+  }
+}
+
+TEST(CorrelateOracle, CompactsUnsampledFrameChains) {
+  workloads::Workload w = workloads::make_random_program({.seed = 5});
+  sim::ExecutionEngine eng(*w.program, *w.lowering, w.run);
+  sim::RawProfile raw = eng.run();
+  const std::vector<sim::RawProfile::Cell> cells = raw.cells();
+  ASSERT_GE(cells.size(), 2u);
+  const std::size_t frames = raw.nodes().size();
+  // Unsampled frame chains below existing frames, re-entering each frame's
+  // own (call site, callee) so every address resolves.
+  for (sim::NodeIndex n = 1; n < frames; n += 2) {
+    const sim::TrieNode tn = raw.nodes()[n];
+    if (tn.call_site == 0) continue;
+    const sim::NodeIndex a = raw.child(n, tn.call_site, tn.callee_entry);
+    raw.child(a, tn.call_site, tn.callee_entry);
+  }
+  // A frame whose samples cancel: its inclusive total is zero, so it is
+  // pruned together with the (nonzero) statement scopes below it.
+  const sim::TrieNode last = raw.nodes()[frames - 1];
+  const sim::NodeIndex cancel =
+      raw.child(frames - 1, last.call_site, last.callee_entry);
+  raw.add_sample(cancel, cells[0].leaf, Event::kCycles, 1.0);
+  raw.add_sample(cancel, cells[1].leaf, Event::kCycles, -1.0);
+
+  const CanonicalCct got = correlate(raw, *w.tree);
+  expect_identical(got, correlate_reference(raw, *w.tree));
+  // The compaction really ran: the raw trie has more frames than survive.
+  std::size_t kept_frames = 0;
+  for (CctNodeId id = 0; id < got.size(); ++id)
+    kept_frames += got.node(id).kind == CctKind::kFrame;
+  EXPECT_LT(kept_frames + 1, raw.nodes().size());
+  EXPECT_DOUBLE_EQ(got.totals()[Event::kCycles], raw.totals()[Event::kCycles]);
 }
 
 TEST(Summarize, StatsCoverAllRanks) {

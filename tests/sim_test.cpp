@@ -235,6 +235,48 @@ TEST(RawProfile, CellsAreDeterministicallyOrdered) {
   EXPECT_EQ(p.child(kRawRoot, 0, 100), a);
 }
 
+/// The simulator inserts cells in execution order, not key order; cells()
+/// must still return them sorted, with counts accumulated per cell and
+/// totals() equal to their sum.
+TEST(RawProfile, SimulatedCellsComeBackSortedWithUnchangedTotals) {
+  workloads::Workload w = workloads::make_random_program({.seed = 33});
+  RunConfig cfg = w.run;
+  cfg.sampler = SamplerConfig{};
+  cfg.sampler.sample(Event::kCycles, 1.0);
+  cfg.sampler.sample(Event::kInstructions, 1.0);
+  ExecutionEngine eng(*w.program, *w.lowering, cfg);
+  const RawProfile raw = eng.run();
+  const auto cells = raw.cells();
+  ASSERT_GT(cells.size(), 10u);
+  model::EventVector sum;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (i > 0) {
+      EXPECT_TRUE(cells[i - 1].node < cells[i].node ||
+                  (cells[i - 1].node == cells[i].node &&
+                   cells[i - 1].leaf < cells[i].leaf))
+          << i;
+    }
+    sum += cells[i].counts;
+  }
+  // Period 1: every sample is worth 1, so every sum is exact in any order.
+  for (std::size_t e = 0; e < model::kNumEvents; ++e)
+    EXPECT_EQ(raw.totals().v[e], sum.v[e]) << e;
+  EXPECT_EQ(raw.totals()[Event::kCycles],
+            static_cast<double>(raw.sample_count(Event::kCycles)));
+
+  // Re-adding a sample to an existing (non-last) cell accumulates there.
+  RawProfile p;
+  const auto a = p.child(kRawRoot, 0, 100);
+  p.add_sample(a, 20, Event::kCycles, 2);
+  p.add_sample(a, 10, Event::kCycles, 1);
+  p.add_sample(a, 20, Event::kCycles, 3);
+  const auto pc = p.cells();
+  ASSERT_EQ(pc.size(), 2u);
+  EXPECT_EQ(pc[0].leaf, 10u);
+  EXPECT_EQ(pc[1].counts[Event::kCycles], 5.0);
+  EXPECT_EQ(p.sample_count(Event::kCycles), 3u);
+}
+
 }  // namespace
 }  // namespace pathview::sim
 

@@ -227,6 +227,23 @@ TEST(StructureTree, PathAndEnclosingQueries) {
   EXPECT_EQ(path.back(), loop_node);
   EXPECT_EQ(t.enclosing_proc(loop_node), path.front());
   EXPECT_EQ(t.node(t.enclosing_file(loop_node)).kind, SKind::kFile);
+
+  // scopes_below_proc is the path's interior, innermost first, for every
+  // scope of the tree: procs and scopes outside any proc included.
+  std::vector<SNodeId> below{42};  // stale contents are cleared
+  t.scopes_below_proc(loop_node, below);
+  EXPECT_EQ(below, std::vector<SNodeId>(path.rbegin() + 1, path.rend() - 1));
+  EXPECT_EQ(below.size(), 2u);  // h's two loops
+  for (SNodeId n = 0; n < t.size(); ++n) {
+    const auto p = t.path_from_proc(n);
+    t.scopes_below_proc(n, below);
+    if (p.size() < 2) {
+      EXPECT_TRUE(below.empty()) << n;
+    } else {
+      EXPECT_EQ(below, std::vector<SNodeId>(p.rbegin() + 1, p.rend() - 1))
+          << n;
+    }
+  }
 }
 
 }  // namespace

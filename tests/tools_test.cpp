@@ -22,6 +22,7 @@
 #include "pathview/sim/engine.hpp"
 #include "pathview/structure/dump.hpp"
 #include "pathview/support/error.hpp"
+#include "pathview/support/prng.hpp"
 #include "pathview/workloads/random_program.hpp"
 #include "pathview/workloads/registry.hpp"
 #include "json_util.hpp"
@@ -67,6 +68,129 @@ TEST(Measurement, RejectsCorruption) {
   EXPECT_THROW(db::measurement_from_bytes(bytes.substr(0, bytes.size() / 2)),
                ParseError);
   EXPECT_THROW(db::measurement_from_bytes(bytes + "z"), ParseError);
+}
+
+TEST(Measurement, ReencodesDecodedBytesExactly) {
+  workloads::Workload w = workloads::make_random_program({.seed = 9});
+  sim::ExecutionEngine eng(*w.program, *w.lowering, w.run);
+  const sim::RawProfile raw = eng.run();
+  const std::string bytes = db::measurement_to_bytes(raw);
+  const sim::RawProfile back = db::measurement_from_bytes(bytes);
+  EXPECT_EQ(db::measurement_to_bytes(back), bytes);
+  // Decoded cells are stored in file order, which is key order.
+  const auto cells = back.cells();
+  ASSERT_GT(cells.size(), 1u);
+  for (std::size_t i = 1; i < cells.size(); ++i)
+    EXPECT_TRUE(cells[i - 1].node < cells[i].node ||
+                (cells[i - 1].node == cells[i].node &&
+                 cells[i - 1].leaf < cells[i].leaf))
+        << i;
+  expect_same_cells(raw, back);
+}
+
+void put_varint(std::string& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out += static_cast<char>((v & 0x7f) | 0x80);
+    v >>= 7;
+  }
+  out += static_cast<char>(v);
+}
+
+/// Magic, rank 0, thread 0, then a node count of `nnodes`.
+std::string header_with_node_count(std::uint64_t nnodes) {
+  std::string b = "PVMS1\n";
+  put_varint(b, 0);
+  put_varint(b, 0);
+  put_varint(b, nnodes);
+  return b;
+}
+
+/// measurement_from_bytes(bytes) throws a ParseError whose message names
+/// `why`.
+void expect_parse_error(const std::string& bytes, const std::string& why) {
+  try {
+    db::measurement_from_bytes(bytes);
+    ADD_FAILURE() << "decoded without error";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
+TEST(Measurement, RejectsNodeCountsBeyondTheInput) {
+  // 2^64-1 used to wrap the node map's size to 0 and write past it; 2^33
+  // and 2^40 used to throw std::bad_alloc, which salvage cannot drop. Each
+  // count is now refused before anything is sized from it — so is a
+  // modest one that merely exceeds the remaining bytes (3 per node).
+  for (const std::uint64_t n : {~0ull, 1ull << 33, 1ull << 40, 22ull}) {
+    SCOPED_TRACE(n);
+    std::string b = header_with_node_count(n);
+    b.append(64, '\x01');
+    expect_parse_error(b, "node count exceeds the input");
+  }
+}
+
+TEST(Measurement, RejectsCellCountsBeyondTheInput) {
+  for (const std::uint64_t n : {~0ull, 1ull << 40, 11ull}) {
+    SCOPED_TRACE(n);
+    std::string b = header_with_node_count(0);
+    put_varint(b, n);
+    b.append(32, '\x00');
+    expect_parse_error(b, "cell count exceeds the input");
+  }
+}
+
+/// Seeded mutations of a real profile — bit flips, truncations and varint
+/// splices (a random or boundary value written over a random span) — must
+/// each decode to a valid profile or throw ParseError, never anything else.
+TEST(Measurement, MutatedBytesDecodeOrThrowParseError) {
+  workloads::Workload w =
+      workloads::make_random_program({.seed = 8, .num_procs = 4});
+  sim::ExecutionEngine eng(*w.program, *w.lowering, w.run);
+  const std::string good = db::measurement_to_bytes(eng.run());
+  const std::uint64_t boundary[] = {~0ull,         1ull << 32,
+                                    (1ull << 32) - 1, 1ull << 33,
+                                    1ull << 40,    127,
+                                    128,           0};
+  Prng rng(0x5eed);
+  std::size_t valid = 0, rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string b = good;
+    switch (i % 3) {
+      case 0:
+        for (std::uint64_t k = 1 + rng.next_below(4); k-- > 0;)
+          b[rng.next_below(b.size())] ^=
+              static_cast<char>(1u << rng.next_below(8));
+        break;
+      case 1:
+        b.resize(rng.next_below(b.size()));
+        break;
+      default: {
+        std::string v;
+        put_varint(v, rng.next_bool(0.5)
+                          ? boundary[rng.next_below(8)]
+                          : rng.next_u64() >> rng.next_below(64));
+        const std::size_t at = rng.next_below(b.size());
+        const std::size_t span =
+            std::min<std::size_t>(1 + rng.next_below(9), b.size() - at);
+        b.replace(at, span, v);
+      }
+    }
+    try {
+      const sim::RawProfile raw = db::measurement_from_bytes(b);
+      const auto& nodes = raw.nodes();
+      for (sim::NodeIndex n = 1; n < nodes.size(); ++n)
+        ASSERT_LT(nodes[n].parent, n) << "case " << i;
+      for (const auto& cell : raw.cells())
+        ASSERT_LT(cell.node, nodes.size()) << "case " << i;
+      // A valid profile re-encodes to bytes that decode again.
+      db::measurement_from_bytes(db::measurement_to_bytes(raw));
+      ++valid;
+    } catch (const ParseError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(valid, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(Measurement, DirectorySaveAndLoad) {

@@ -7,6 +7,9 @@
 //     the redesign) by >= 5x;
 //   - the end-to-end "top 20 regressing paths" query — parse, compile,
 //     match, filter, sort, limit — must finish under 100 ms.
+// Info rows also time an unpatterned top-20 (the partial-sort path) and an
+// anchored pattern (the pruning DFS), so a regression in either strategy
+// shows up in the output.
 // Also checks byte-determinism (two executions, identical rows) and writes
 // BENCH_query_scaling.json on the pathview-bench-v2 schema.
 #include <algorithm>
@@ -150,6 +153,20 @@ int main(int argc, char** argv) {
   rep.gate_max("top-20 query end-to-end [ms]", e2e_s * 1e3, 100.0);
   rep.row("top-20 query is deterministic", 1,
           same_rows(once, run_top20()) ? 1 : 0, 0);
+
+  // The two other plan shapes: every row ordered with no pattern (top-k
+  // selection over the whole table), and an anchored pattern whose DFS
+  // prunes all but the first levels.
+  const double unpatterned_s = best_of(kReps, [&] {
+    query::run("order by cycles.excl desc limit 20", cct, attr.table);
+  });
+  rep.info("unpatterned order by ... limit 20 [ms]", unpatterned_s * 1e3);
+  const std::string main_name = cct.tree().name_of(
+      cct.node(cct.node(prof::kCctRoot).children.front()).scope);
+  const std::string anchored = "match '" + main_name + "/*'";
+  const double anchored_s =
+      best_of(kReps, [&] { query::run(anchored, cct, attr.table); });
+  rep.info("anchored '" + main_name + "/*' match [ms]", anchored_s * 1e3);
 
   rep.write_json("BENCH_query_scaling.json");
   return rep.exit_code();

@@ -22,7 +22,6 @@
 #include "pathview/ui/rank_plot.hpp"
 #include "pathview/ui/tree_table.hpp"
 #include "pathview/core/cct_view.hpp"
-#include "pathview/core/sort.hpp"
 #include "pathview/sim/parallel_runner.hpp"
 #include "pathview/support/format.hpp"
 #include "pathview/workloads/subsurface.hpp"
@@ -92,7 +91,7 @@ int main(int argc, char** argv) {
         view.table(), summary, model::Event::kIdle);
     const metrics::ColumnId imb =
         metrics::add_imbalance_metric(view.table(), sc);
-    core::sort_built_by(view, sc.sum);
+    view.sort_by(sc.sum);
     ui::ExpansionState exp;
     for (prof::CctNodeId id : path) exp.expand(id);
     ui::TreeTableOptions topts;

@@ -6,16 +6,20 @@
 
 namespace pathview::core {
 
+void sort_level(std::vector<ViewNodeId>& ids, std::span<const double> col,
+                bool descending) {
+  // One contiguous column read per comparison instead of a row-wise get().
+  std::stable_sort(ids.begin(), ids.end(), [&](ViewNodeId a, ViewNodeId b) {
+    return metrics::sorts_before(col[a], col[b], descending);
+  });
+}
+
 void sort_children_by(View& view, ViewNodeId parent, metrics::ColumnId metric,
                       bool descending) {
   if (metric >= view.table().num_columns())
     throw InvalidArgument("sort_children_by: bad metric column");
-  auto& ch = view.mutable_children(parent);
-  // One contiguous column read per comparison instead of a row-wise get().
-  const std::span<const double> col = view.table().column(metric);
-  std::stable_sort(ch.begin(), ch.end(), [&](ViewNodeId a, ViewNodeId b) {
-    return descending ? col[a] > col[b] : col[a] < col[b];
-  });
+  sort_level(view.mutable_children(parent), view.table().column(metric),
+             descending);
 }
 
 void sort_built_by(View& view, metrics::ColumnId metric, bool descending) {

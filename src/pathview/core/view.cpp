@@ -1,7 +1,9 @@
 #include "pathview/core/view.hpp"
 
+#include "pathview/core/sort.hpp"
 #include "pathview/metrics/derived.hpp"
 #include "pathview/obs/obs.hpp"
+#include "pathview/support/error.hpp"
 
 namespace pathview::core {
 
@@ -32,6 +34,11 @@ void View::ensure_children(ViewNodeId id) {
   const std::size_t rows_before = table_.num_rows();
   build_children(id);
   nodes_[id].children_built = true;
+  // The active key, if any, is pending for the new level (an expand under
+  // an active sort shows its children sorted).
+  if (!sort_history_.empty())
+    nodes_[id].sorts_applied =
+        static_cast<std::uint32_t>(sort_history_.size() - 1);
   PV_COUNTER_ADD("core.lazy_child_builds", 1);
   if (table_.num_rows() != rows_before) {
     // Lazily materialized rows: recompute derived columns so sorting and
@@ -44,7 +51,23 @@ void View::ensure_children(ViewNodeId id) {
 
 const std::vector<ViewNodeId>& View::children_of(ViewNodeId id) {
   ensure_children(id);
-  return nodes_[id].children;
+  ViewNode& n = nodes_[id];
+  const auto pending_end = static_cast<std::uint32_t>(sort_history_.size());
+  if (n.children.size() > 1) {
+    for (std::uint32_t k = n.sorts_applied; k < pending_end; ++k)
+      sort_level(n.children, table_.column(sort_history_[k].column),
+                 sort_history_[k].descending);
+  }
+  n.sorts_applied = pending_end;
+  return n.children;
+}
+
+void View::sort_by(metrics::ColumnId metric, bool descending) {
+  if (metric >= table_.num_columns())
+    throw InvalidArgument("sort_by: bad metric column");
+  const SortKey key{metric, descending};
+  if (sort_history_.empty() || sort_history_.back() != key)
+    sort_history_.push_back(key);
 }
 
 bool View::is_call_site(ViewNodeId id) const {

@@ -9,6 +9,16 @@
 //                   children aggregated per <call site, callee>.
 // Children may be built on demand: ensure_children() materializes a node's
 // children (and keeps derived metric columns consistent).
+//
+// Sorting is applied on read. sort_by() only records the key in the view's
+// sort history (consecutive repeats collapsed), so it costs O(1) however
+// large the view is. A level — one node's child list — is its construction
+// order stable-sorted by every key the view was given since the level was
+// built, in the order given; a level built while a key is active starts
+// with that key pending. children_of() brings a level up to date before
+// returning it, and every order-sensitive reader (tree-table, export,
+// flatten, hot path, serve rows) goes through it, so only the levels that
+// are actually shown are ever sorted.
 #pragma once
 
 #include <cstdint>
@@ -51,11 +61,20 @@ inline constexpr ViewNodeId kViewNull = 0xffffffffu;
 struct ViewNode {
   ViewNodeId parent = kViewNull;
   NodeRole role = NodeRole::kRoot;
+  bool children_built = false;
   structure::SNodeId scope = structure::kSNull;      // primary scope identity
   structure::SNodeId call_site = structure::kSNull;  // frames/callers
   prof::CctNodeId origin = prof::kCctNull;  // CCT view: underlying CCT node
-  bool children_built = false;
+  /// Entries of the view's sort history already applied to `children`.
+  std::uint32_t sorts_applied = 0;
   std::vector<ViewNodeId> children;
+};
+
+/// One metric sort a view was given (paper Sec. V-A).
+struct SortKey {
+  metrics::ColumnId column = 0;
+  bool descending = true;
+  bool operator==(const SortKey&) const = default;
 };
 
 class View {
@@ -77,8 +96,18 @@ class View {
   /// columns consistent when new rows appear.
   void ensure_children(ViewNodeId id);
 
-  /// Children of `id` after ensuring they are built.
+  /// Children of `id` in display order: built if need be, then sorted by
+  /// the history entries the level has not had yet.
   const std::vector<ViewNodeId>& children_of(ViewNodeId id);
+
+  /// Order every level by `metric` (stable, NaN last; see the file
+  /// comment). O(1): levels catch up when children_of() next reads them.
+  /// Throws InvalidArgument for a column the table does not have.
+  void sort_by(metrics::ColumnId metric, bool descending = true);
+
+  /// Every key given so far, in order, consecutive repeats collapsed; the
+  /// last one is the active key.
+  const std::vector<SortKey>& sort_history() const { return sort_history_; }
 
   /// Display label ("g", "loop at file2.c: 8", "file2.c: 9", ...).
   std::string label(ViewNodeId id) const;
@@ -94,7 +123,7 @@ class View {
   /// (instrumentation for the lazy-vs-eager ablation bench).
   std::size_t nodes_materialized() const { return size(); }
 
-  // Mutable node access for sort/flatten operations.
+  // Mutable child lists for the eager sorts of core/sort.hpp.
   std::vector<ViewNodeId>& mutable_children(ViewNodeId id) {
     return nodes_[id].children;
   }
@@ -115,6 +144,10 @@ class View {
   const prof::CanonicalCct* cct_;
   std::vector<ViewNode> nodes_;
   metrics::MetricTable table_;
+  std::vector<SortKey> sort_history_;
 };
+
+// sorts_applied lives in what was padding: a node is no larger for it.
+static_assert(sizeof(ViewNode) <= 24 + sizeof(std::vector<ViewNodeId>));
 
 }  // namespace pathview::core

@@ -6,6 +6,7 @@
 #include <limits>
 #include <unordered_map>
 
+#include "pathview/obs/obs.hpp"
 #include "pathview/support/error.hpp"
 #include "pathview/support/parallel.hpp"
 
@@ -69,6 +70,7 @@ Ensemble Ensemble::align(
 Ensemble Ensemble::align(
     const std::vector<std::shared_ptr<const db::Experiment>>& members,
     const std::vector<std::string>& paths, EnsembleOptions opts) {
+  PV_SPAN("ensemble.align");
   if (members.empty()) throw InvalidArgument("ensemble: no members");
   for (const auto& m : members)
     if (!m) throw InvalidArgument("ensemble: null member experiment");

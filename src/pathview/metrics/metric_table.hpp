@@ -14,6 +14,7 @@
 // gather) are the substrate for pathview::query's plan operators.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -129,5 +130,15 @@ class MetricTable {
   std::size_t nrows_ = 0;
   bool degraded_ = false;
 };
+
+/// The order of every metric sort — view levels (core/sort.hpp) and a
+/// query's `order by`: by value, NaN last in both directions. Unlike a bare
+/// `a > b` this stays a strict weak order when a derived column holds NaN,
+/// so sorting an already sorted level again leaves it as it is.
+inline bool sorts_before(double a, double b, bool descending) {
+  if (std::isnan(a)) return false;
+  if (std::isnan(b)) return true;
+  return descending ? a > b : a < b;
+}
 
 }  // namespace pathview::metrics

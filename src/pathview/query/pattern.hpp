@@ -7,10 +7,18 @@
 //   **/psm2_recv             any path ending in psm2_recv
 //
 // A pattern compiles to a tiny NFA whose state set fits one 64-bit word
-// (state i = "the first i segments are matched"); matching a whole CCT is a
-// single DFS carrying state sets down the tree, with subtrees pruned as
-// soon as their state set goes empty. Recursive chains work naturally:
-// 'a/**/a' needs two distinct frames named a on the path.
+// (state i = "the first i segments are matched"). A node's state set is
+// its parent's advanced by the node's frame name, so matching a whole CCT
+// carries state sets down the tree in one of two ways (query::Plan picks):
+//   * anchored patterns (segment 0 is not '**') walk a DFS from the root
+//     and prune a subtree as soon as its state set goes empty, which skips
+//     most of the tree;
+//   * unanchored patterns (segment 0 is '**') can never go empty, so they
+//     visit every node anyway and take one pass in node-id order instead,
+//     state[id] = advance(state[parent], name). That is exact because every
+//     CCT has parent < id, and it yields matches already in id order.
+// Recursive chains work naturally: 'a/**/a' needs two distinct frames
+// named a on the path.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +37,11 @@ struct PathPattern {
   std::string text;  // as written
 
   bool empty() const { return segments.empty(); }
+  /// Segment 0 is '**': the match may start at any depth, so no subtree
+  /// can be pruned.
+  bool unanchored() const {
+    return !segments.empty() && segments.front().any_depth;
+  }
 };
 
 /// Split + validate a pattern. `offset` biases ParseError byte offsets so

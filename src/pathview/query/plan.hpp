@@ -5,23 +5,27 @@
 // flattens the predicate tree into a postfix program, and picks an
 // execution strategy:
 //
-//   match      DFS of the CCT carrying PatternMatcher state sets, pruning
-//              subtrees whose state set goes empty (skipped when the
-//              pattern is empty — every row is a candidate);
+//   match      PatternMatcher state sets carried down the CCT (skipped
+//              when the pattern is empty — every row is a candidate). An
+//              anchored pattern walks a DFS that prunes subtrees whose
+//              state set goes empty; an unanchored one (leading '**') can
+//              prune nothing and takes one pass in node-id order instead;
 //   filter     either MetricTable::scan over one contiguous column (the
 //              columnar fast path, taken when there is no pattern and the
 //              predicate is a single comparison of one metric against a
 //              constant-folded bound) or per-candidate program evaluation;
 //   aggregate/ project the select list over the surviving rows;
-//   sort       by the order-by column (ties break toward smaller node ids,
-//              so results are deterministic);
+//   sort       by the order-by column, NaN last in both directions (ties
+//              break toward smaller node ids, so results are
+//              deterministic); with a limit only the top N are selected
+//              (partial sort), which yields the same rows as a full sort;
 //   limit      keep the first N rows.
 //
 // explain() prints exactly this plan, one operator per line, in execution
 // order (source first, limit last), with metric references resolved and
-// `total` folded. Execution is read-only over the table and deterministic:
-// the same
-// query on the same data yields byte-identical results.
+// `total` folded; the match line names the strategy that runs. Execution is
+// read-only over the table and deterministic: the same query on the same
+// data yields byte-identical results.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +41,7 @@ namespace pathview::query {
 
 struct QueryStats {
   std::uint64_t nodes_visited = 0;  // CCT nodes walked by the matcher
+                                    // (every node when unanchored)
   std::uint64_t rows_scanned = 0;   // rows the filter evaluated
   std::uint64_t rows_matched = 0;   // rows surviving match + filter
 };
@@ -83,6 +88,8 @@ class Plan {
                       const metrics::MetricTable& table);
 
   std::vector<prof::CctNodeId> match_candidates(QueryStats& stats) const;
+  /// Order node-id-ascending `rows` by the order-by column (top `limit`).
+  void order_rows(std::vector<metrics::RowId>& rows) const;
   double eval(std::size_t row) const;
 
   Query q_;

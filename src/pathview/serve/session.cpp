@@ -7,7 +7,6 @@
 #include "pathview/analysis/timeline.hpp"
 #include "pathview/core/flatten.hpp"
 #include "pathview/ensemble/inputs.hpp"
-#include "pathview/core/sort.hpp"
 #include "pathview/metrics/attribution.hpp"
 #include "pathview/metrics/derived.hpp"
 #include "pathview/obs/obs.hpp"
@@ -423,6 +422,7 @@ void SessionManager::journal_op(Session& s, const Request& req) {
     }
     return;
   }
+  PV_SPAN("serve.journal.append");
   s.journal_ops_.push(sanitize_body(req));
   checkpoint(s);
 }
@@ -860,16 +860,13 @@ JsonValue SessionManager::run_session_op(Session& s, const Request& req) {
 }
 
 JsonValue SessionManager::op_expand(Session& s, const Request& req) {
+  PV_SPAN("serve.op.expand");
   const std::uint64_t node = req.body.get_u64("node", core::kViewRoot);
   s.check_node(node);
   const auto id = static_cast<core::ViewNodeId>(node);
   core::View& view = s.viewer_->current();
   const std::size_t before = view.size();
   s.viewer_->expand(id);
-  // Keep the active sort: only the children just materialized are ordered —
-  // work stays proportional to the returned rows.
-  if (s.sort_col_)
-    core::sort_children_by(view, id, *s.sort_col_, s.sort_desc_);
   PV_COUNTER_ADD("serve.nodes_materialized", view.size() - before);
   JsonValue resp = ok_response(req.id);
   resp.set("node", JsonValue::number(node));
@@ -878,6 +875,7 @@ JsonValue SessionManager::op_expand(Session& s, const Request& req) {
 }
 
 JsonValue SessionManager::op_collapse(Session& s, const Request& req) {
+  PV_SPAN("serve.op.collapse");
   const std::uint64_t node = req.body.get_u64("node", core::kViewRoot);
   s.check_node(node);
   s.viewer_->collapse(static_cast<core::ViewNodeId>(node));
@@ -887,18 +885,16 @@ JsonValue SessionManager::op_collapse(Session& s, const Request& req) {
 }
 
 JsonValue SessionManager::op_sort(Session& s, const Request& req) {
+  PV_SPAN("serve.op.sort");
   const std::uint64_t col = req.body.get_u64("column", 0);
   core::View& view = s.viewer_->current();
   if (col >= view.table().num_columns())
     throw ServeError(ErrorKind::kBadRequest,
                      "sort: column " + std::to_string(col) + " out of range");
   const bool desc = req.body.get_bool("descending", true);
-  s.sort_col_ = static_cast<metrics::ColumnId>(col);
-  s.sort_desc_ = desc;
-  s.viewer_->sort_by(*s.sort_col_, desc);
-  // Re-order what is already built (visible rows); lazily materialized
-  // levels are sorted as they appear in op_expand.
-  core::sort_built_by(view, *s.sort_col_, desc);
+  // O(1): the view records the key and sorts each level as it is read, so
+  // only the root level shown below is sorted now.
+  s.viewer_->sort_by(static_cast<metrics::ColumnId>(col), desc);
   JsonValue resp = ok_response(req.id);
   resp.set("column", JsonValue::number(col));
   resp.set("descending", JsonValue::boolean(desc));
@@ -908,6 +904,7 @@ JsonValue SessionManager::op_sort(Session& s, const Request& req) {
 
 JsonValue SessionManager::op_flatten(Session& s, const Request& req,
                                      bool unflatten) {
+  PV_SPAN(unflatten ? "serve.op.unflatten" : "serve.op.flatten");
   if (!s.flatten_)
     s.flatten_ = std::make_unique<core::FlattenState>(s.viewer_->current());
   const std::size_t before = s.viewer_->current().size();
@@ -924,6 +921,7 @@ JsonValue SessionManager::op_flatten(Session& s, const Request& req,
 }
 
 JsonValue SessionManager::op_hot_path(Session& s, const Request& req) {
+  PV_SPAN("serve.op.hot_path");
   const std::uint64_t start = req.body.get_u64("start", core::kViewRoot);
   s.check_node(start);
   const std::uint64_t col = req.body.get_u64("column", 0);
@@ -954,6 +952,7 @@ JsonValue SessionManager::op_hot_path(Session& s, const Request& req) {
 }
 
 JsonValue SessionManager::op_metrics(Session& s, const Request& req) {
+  PV_SPAN("serve.op.metrics");
   JsonValue resp = ok_response(req.id);
   if (const JsonValue* derive = req.body.find("derive")) {
     const std::string name = derive->get_string("name", "");
@@ -972,6 +971,7 @@ JsonValue SessionManager::op_metrics(Session& s, const Request& req) {
 
 JsonValue SessionManager::op_query(Session& s, const Request& req,
                                    bool explain_only) {
+  PV_SPAN(explain_only ? "serve.op.explain" : "serve.op.query");
   const std::string text = req.body.get_string("q", "");
   if (text.empty())
     throw ServeError(ErrorKind::kBadRequest,
@@ -995,6 +995,7 @@ JsonValue SessionManager::op_query(Session& s, const Request& req,
 }
 
 JsonValue SessionManager::op_timeline_window(Session& s, const Request& req) {
+  PV_SPAN("serve.op.timeline_window");
   s.ensure_traces();
   analysis::TimelineOptions topts;
   topts.width = static_cast<std::size_t>(

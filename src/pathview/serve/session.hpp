@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -82,8 +81,6 @@ class Session {
   std::shared_ptr<const ensemble::Ensemble> ens_;  // null for single sessions
   metrics::Attribution attr_;
   std::unique_ptr<ui::ViewerController> viewer_;
-  std::optional<metrics::ColumnId> sort_col_;
-  bool sort_desc_ = true;
   /// Session-owned flatten cursor over the current view (built on first
   /// flatten/unflatten request).
   std::unique_ptr<core::FlattenState> flatten_;

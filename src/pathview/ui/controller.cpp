@@ -1,6 +1,5 @@
 #include "pathview/ui/controller.hpp"
 
-#include "pathview/core/sort.hpp"
 #include "pathview/metrics/derived.hpp"
 #include "pathview/support/error.hpp"
 #include "pathview/ui/source_pane.hpp"
@@ -47,11 +46,6 @@ std::vector<core::ViewNodeId> ViewerController::run_hot_path(
   highlight_[index(current_)] = path;
   if (!path.empty()) selected_ = path.back();
   return path;
-}
-
-void ViewerController::sort_by(metrics::ColumnId metric, bool descending) {
-  sort_col_[index(current_)] = metric;
-  sort_desc_[index(current_)] = descending;
 }
 
 metrics::ColumnId ViewerController::add_derived(const std::string& name,
@@ -110,8 +104,6 @@ std::string ViewerController::source_pane(int context) const {
 std::string ViewerController::render(TreeTableOptions opts) {
   core::View& v = current();
   const std::size_t idx = index(current_);
-  if (sort_col_[idx])
-    core::sort_built_by(v, *sort_col_[idx], sort_desc_[idx]);
   if (!zoom_[idx].empty() && opts.roots.empty())
     opts.roots = {zoom_[idx].back()};
   else if (flatten_[idx] && flatten_[idx]->depth() > 0 && opts.roots.empty())

@@ -50,8 +50,11 @@ class ViewerController {
                                              metrics::ColumnId metric);
 
   /// Sort every level of the current view by `metric` (descending by
-  /// default); lazily materialized levels are sorted as they appear.
-  void sort_by(metrics::ColumnId metric, bool descending = true);
+  /// default). The view records the key; each level is sorted when it is
+  /// next shown (core::View::sort_by).
+  void sort_by(metrics::ColumnId metric, bool descending = true) {
+    current().sort_by(metric, descending);
+  }
 
   /// Define a derived metric on ALL views; returns its column id (identical
   /// across views because all tables share the column layout).
@@ -113,8 +116,6 @@ class ViewerController {
   core::FlatView flat_view_;
   core::ViewType current_ = core::ViewType::kCallingContext;
   ExpansionState exp_[3];
-  std::optional<metrics::ColumnId> sort_col_[3];
-  bool sort_desc_[3] = {true, true, true};
   std::unique_ptr<core::FlattenState> flatten_[3];
   std::vector<core::ViewNodeId> highlight_[3];
   std::vector<metrics::ColumnId> visible_[3];

@@ -1,20 +1,26 @@
 // Golden tests for pathview::query: the text grammar (including byte-offset
 // diagnostics), call-path pattern matching (recursion, '**'), predicate
 // compilation (total folding, the columnar fast path), and deterministic
-// ordering of results.
+// ordering of results — plus oracle checks of the two match strategies
+// (id-order pass vs pruning DFS) and of top-k selection vs a full sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pathview/metrics/attribution.hpp"
+#include "pathview/metrics/derived.hpp"
 #include "pathview/prof/correlate.hpp"
 #include "pathview/query/pattern.hpp"
 #include "pathview/query/plan.hpp"
 #include "pathview/query/query.hpp"
+#include "pathview/sim/engine.hpp"
 #include "pathview/support/error.hpp"
 #include "pathview/workloads/paper_example.hpp"
+#include "pathview/workloads/random_program.hpp"
 
 namespace pathview::query {
 namespace {
@@ -430,6 +436,178 @@ TEST(QueryPlan, BuilderAndTextCompileToTheSameResult) {
   ASSERT_EQ(a.rows.size(), b.rows.size());
   for (std::size_t i = 0; i < a.rows.size(); ++i)
     EXPECT_EQ(a.rows[i].node, b.rows[i].node);
+}
+
+// --- match strategies and top-k against their references -------------------
+
+bool frame_like(prof::CctKind k) {
+  return k == prof::CctKind::kFrame || k == prof::CctKind::kInline;
+}
+
+/// The pruning DFS as the reference every pattern's candidates must match:
+/// matches in node-id order, and how many nodes the walk visits.
+std::pair<std::vector<prof::CctNodeId>, std::uint64_t> dfs_match(
+    const prof::CanonicalCct& cct, const PathPattern& p) {
+  const PatternMatcher m(p);
+  std::vector<prof::CctNodeId> out;
+  std::uint64_t visited = 0;
+  std::vector<std::pair<prof::CctNodeId, PatternMatcher::StateSet>> stack{
+      {prof::kCctRoot, m.initial()}};
+  while (!stack.empty()) {
+    auto [id, s] = stack.back();
+    stack.pop_back();
+    ++visited;
+    const prof::CctNode& n = cct.node(id);
+    if (frame_like(n.kind)) {
+      s = m.advance(s, cct.tree().name_of(n.scope));
+      if (m.accepting(s)) out.push_back(id);
+      if (!m.can_continue(s)) continue;
+    }
+    for (const prof::CctNodeId c : n.children) stack.emplace_back(c, s);
+  }
+  std::sort(out.begin(), out.end());
+  return {out, visited};
+}
+
+/// A random program's CCT with every event attributed and a derived
+/// column that is NaN on part of the rows.
+struct RandomPlanFixture {
+  explicit RandomPlanFixture(std::uint64_t seed)
+      : w(workloads::make_random_program({.seed = seed, .num_procs = 10})),
+        cct(prof::correlate(
+            sim::ExecutionEngine(*w.program, *w.lowering, w.run).run(),
+            *w.tree)),
+        attr(metrics::attribute_metrics(cct, metrics::all_events())) {
+    nan_col = metrics::add_derived_metric(
+        attr.table, "nan",
+        "sqrt($" + std::to_string(attr.cols.exclusive(Event::kCycles)) +
+            " - 0.25 * $" +
+            std::to_string(attr.cols.inclusive(Event::kCycles)) + ")");
+  }
+  workloads::Workload w;
+  prof::CanonicalCct cct;
+  metrics::Attribution attr;
+  metrics::ColumnId nan_col = 0;
+};
+
+std::string repeat(const std::string& part, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += part;
+  return out;
+}
+
+/// Anchored and unanchored patterns over a CCT's own frame names,
+/// including a recursive '**/g/**/g' when some frame repeats on a path.
+std::vector<std::string> patterns_for(const prof::CanonicalCct& cct) {
+  const auto name = [&](prof::CctNodeId id) {
+    return cct.tree().name_of(cct.node(id).scope);
+  };
+  const std::string main = name(cct.node(prof::kCctRoot).children.front());
+  std::string some, recursive;
+  for (prof::CctNodeId id = 1; id < cct.size() && recursive.empty(); ++id) {
+    if (!frame_like(cct.node(id).kind)) continue;
+    if (some.empty() && name(id) != main) some = name(id);
+    for (prof::CctNodeId up = cct.node(id).parent; up != prof::kCctRoot;
+         up = cct.node(up).parent)
+      if (frame_like(cct.node(up).kind) && name(up) == name(id))
+        recursive = name(id);
+  }
+  if (recursive.empty()) recursive = some;
+  return {"**",
+          "**/" + some.substr(0, 1) + "*",
+          "**/" + recursive + "/**/" + recursive,
+          "**/" + some + "/*",
+          "**/**/" + some,
+          main + "/*",
+          main + "/**/" + recursive,
+          "*/**",
+          // Long unanchored patterns: 7 and 8 segments sit on either side
+          // of a one-byte state set; the rest need up to 37 bits.
+          "**/*/**/*/**/*/" + some,
+          "**/*/**/*/**/*/**/" + some,
+          "**/*/**/*/**/*/**/*/**/" + some,
+          "**/" + repeat("**/*/", 8) + some,
+          "**/" + repeat("**/*/", 17) + some};
+}
+
+std::vector<prof::CctNodeId> nodes_of(const QueryResult& r) {
+  std::vector<prof::CctNodeId> ids;
+  for (const ResultRow& row : r.rows) ids.push_back(row.node);
+  return ids;
+}
+
+TEST(QueryStrategies, IdOrderPassMatchesTheDfs) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 6u}) {
+    const RandomPlanFixture f(seed);
+    for (const std::string& pattern : patterns_for(f.cct)) {
+      const PathPattern p = parse_pattern(pattern);
+      const auto [want, visited] = dfs_match(f.cct, p);
+      const Plan plan =
+          compile(parse("match '" + pattern + "'"), f.cct, f.attr.table);
+      const QueryResult got = plan.execute();
+      EXPECT_EQ(nodes_of(got), want) << pattern;
+      EXPECT_EQ(got.stats.nodes_visited, visited) << pattern;
+      if (p.unanchored()) {
+        EXPECT_EQ(visited, f.cct.size()) << pattern;
+      }
+      // explain() names the strategy that actually runs.
+      EXPECT_NE(plan.explain().find(p.unanchored() ? "nfa id-order pass"
+                                                   : "nfa dfs"),
+                std::string::npos)
+          << plan.explain();
+    }
+  }
+}
+
+TEST(QueryStrategies, TopKEqualsFullStableSortThenTruncate) {
+  for (const std::uint64_t seed : {1u, 5u}) {
+    const RandomPlanFixture f(seed);
+    const std::pair<const char*, metrics::ColumnId> keys[] = {
+        {"cycles (E)", f.attr.cols.exclusive(Event::kCycles)},  // many ties
+        {"cycles (I)", f.attr.cols.inclusive(Event::kCycles)},
+        {"nan", f.nan_col}};
+    for (const std::string match : {"", "match '**/**' "}) {
+      // Unordered, the rows come back in node-id order.
+      const std::vector<prof::CctNodeId> ids =
+          nodes_of(query::run(match, f.cct, f.attr.table));
+      for (const auto& [name, col_id] : keys) {
+        const std::span<const double> col = f.attr.table.column(col_id);
+        for (const bool desc : {true, false}) {
+          std::vector<prof::CctNodeId> full = ids;
+          std::stable_sort(full.begin(), full.end(), [&](auto a, auto b) {
+            return metrics::sorts_before(col[a], col[b], desc);
+          });
+          for (const std::size_t limit :
+               {std::size_t{0}, std::size_t{1}, std::size_t{20}, ids.size(),
+                ids.size() + 5}) {
+            std::string text = match + "order by \"" + name + "\" " +
+                               (desc ? "desc" : "asc");
+            if (limit > 0) text += " limit " + std::to_string(limit);
+            const std::vector<prof::CctNodeId> got =
+                nodes_of(query::run(text, f.cct, f.attr.table));
+            std::vector<prof::CctNodeId> want = full;
+            if (limit > 0 && want.size() > limit) want.resize(limit);
+            ASSERT_EQ(got, want) << text;
+            // NaN keys trail every number, in both directions.
+            for (std::size_t i = 1; i < got.size(); ++i)
+              ASSERT_FALSE(std::isnan(col[got[i - 1]]) &&
+                           !std::isnan(col[got[i]]))
+                  << text;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryStrategies, AnchoredPatternStillPrunes) {
+  const RandomPlanFixture f(2);
+  const std::string main = f.cct.tree().name_of(
+      f.cct.node(f.cct.node(prof::kCctRoot).children.front()).scope);
+  const QueryResult r = query::run("match '" + main + "/*'", f.cct,
+                                   f.attr.table);
+  EXPECT_FALSE(r.rows.empty());
+  EXPECT_LT(r.stats.nodes_visited, f.cct.size() / 2);
 }
 
 }  // namespace

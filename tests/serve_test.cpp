@@ -11,6 +11,7 @@
 #include <string>
 #include <thread>
 #include <netinet/in.h>
+#include <random>
 #include <sys/socket.h>
 #include <unistd.h>
 #include <vector>
@@ -25,8 +26,11 @@
 #include "pathview/serve/server.hpp"
 #include "pathview/serve/session.hpp"
 #include "pathview/serve/supervisor.hpp"
+#include "pathview/sim/engine.hpp"
 #include "pathview/support/error.hpp"
 #include "pathview/workloads/paper_example.hpp"
+#include "pathview/workloads/random_program.hpp"
+#include "sort_oracle.hpp"
 
 namespace pathview::serve {
 namespace {
@@ -1410,6 +1414,161 @@ TEST(ServeClient, AutoResumeSurvivesDaemonRestart) {
   EXPECT_EQ(client.call_op("expand", std::move(body)).dump(), oracle);
   EXPECT_EQ(client.resumes(), 1u);
   server2.stop();
+}
+
+// --- lazy sorting behind the wire vs the eager oracle ----------------------
+
+std::vector<std::uint64_t> row_ids(const JsonValue& reply) {
+  std::vector<std::uint64_t> ids;
+  if (const JsonValue* rows = reply.find("rows"))
+    for (const JsonValue& row : rows->items())
+      ids.push_back(row.get_u64("id", ~std::uint64_t{0}));
+  return ids;
+}
+
+std::vector<std::uint64_t> as_u64(const std::vector<core::ViewNodeId>& ids) {
+  return {ids.begin(), ids.end()};
+}
+
+// Every row list a session sends (expand, sort, hot_path, flatten, and the
+// resume continuation) equals what the eager oracle shows, over random op
+// sequences in all three views; the replayed journal rebuilds the same
+// sort history.
+TEST(ServeSortOracle, RowListsMatchEagerReplay) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("serve_sort_oracle_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string db_path = (dir / "exp.pvdb").string();
+  {
+    const workloads::Workload w =
+        workloads::make_random_program({.seed = 4, .num_procs = 10});
+    const prof::CanonicalCct cct = prof::correlate(
+        sim::ExecutionEngine(*w.program, *w.lowering, w.run).run(), *w.tree);
+    db::save_binary(db::Experiment::capture(*w.tree, cct, "oracle", 1),
+                    db_path);
+  }
+  const db::Experiment exp = db::load_binary(db_path);
+  const metrics::Attribution attr =
+      metrics::attribute_metrics(exp.cct(), metrics::all_events());
+  const std::string nan_formula =
+      "sqrt($" + std::to_string(attr.cols.exclusive(model::Event::kCycles)) +
+      " - 0.25 * $" +
+      std::to_string(attr.cols.inclusive(model::Event::kCycles)) + ")";
+
+  SessionManager::Options opts;
+  opts.session_dir = (dir / "sessions").string();
+  std::uint64_t seed = 0;
+  for (const char* view : {"cct", "callers", "flat"}) {
+    SessionManager mgr(opts);
+    Request open = open_request(db_path);
+    open.body.set("view", JsonValue::string(view));
+    const JsonValue opened = mgr.handle(open);
+    ASSERT_TRUE(opened.get_bool("ok", false)) << opened.dump();
+    const std::string sid = opened.get_string("session", "");
+    testutil::EagerSortOracle eager(exp.cct(), attr);
+    eager.select_view(parse_view_name(view));
+    EXPECT_EQ(row_ids(opened), as_u64(eager.children_of(core::kViewRoot)));
+
+    int next_id = 2;
+    const auto call = [&](Op op, JsonValue body) {
+      Request req;
+      req.id = next_id++;
+      req.op = op;
+      req.body = std::move(body);
+      req.body.set("session", JsonValue::string(sid));
+      JsonValue reply = mgr.handle(req);
+      EXPECT_TRUE(reply.get_bool("ok", false)) << reply.dump();
+      return reply;
+    };
+    JsonValue derive = JsonValue::object();
+    derive.set("name", JsonValue::string("nan"));
+    derive.set("formula", JsonValue::string(nan_formula));
+    JsonValue mbody = JsonValue::object();
+    mbody.set("derive", std::move(derive));
+    const std::uint64_t nan_col =
+        call(Op::kMetrics, std::move(mbody)).get_u64("derived", 0);
+    ASSERT_EQ(eager.add_derived("nan", nan_formula), nan_col);
+    const std::array<std::uint64_t, 3> cols = {
+        attr.cols.inclusive(model::Event::kCycles),
+        attr.cols.exclusive(model::Event::kCycles), nan_col};
+
+    std::mt19937_64 rng(++seed);
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    bool flattened = false;
+    for (int step = 0; step < 300; ++step) {
+      const auto node = static_cast<core::ViewNodeId>(
+          pick(eager.view().size()));
+      JsonValue body = JsonValue::object();
+      switch (pick(6)) {
+        case 0:
+        case 1: {
+          const std::uint64_t col = cols[pick(cols.size())];
+          const bool desc = pick(2) == 0;
+          body.set("column", JsonValue::number(col));
+          body.set("descending", JsonValue::boolean(desc));
+          const JsonValue r = call(Op::kSort, std::move(body));
+          eager.sort_by(static_cast<metrics::ColumnId>(col), desc);
+          ASSERT_EQ(row_ids(r), as_u64(eager.children_of(core::kViewRoot)))
+              << view << " step " << step;
+          break;
+        }
+        case 2: {
+          body.set("node", JsonValue::number(std::uint64_t{node}));
+          const JsonValue r = call(Op::kExpand, std::move(body));
+          eager.expand(node);
+          ASSERT_EQ(row_ids(r), as_u64(eager.children_of(node)))
+              << view << " step " << step;
+          break;
+        }
+        case 3: {
+          const std::uint64_t col = cols[pick(cols.size())];
+          body.set("start", JsonValue::number(std::uint64_t{node}));
+          body.set("column", JsonValue::number(col));
+          const JsonValue r = call(Op::kHotPath, std::move(body));
+          ASSERT_EQ(row_ids(r),
+                    as_u64(eager.run_hot_path(
+                        node, static_cast<metrics::ColumnId>(col))))
+              << view << " step " << step;
+          break;
+        }
+        case 4: {
+          body.set("node", JsonValue::number(std::uint64_t{node}));
+          call(Op::kCollapse, std::move(body));
+          eager.collapse(node);
+          break;
+        }
+        default: {
+          const bool un = pick(3) == 0;
+          const JsonValue r =
+              call(un ? Op::kUnflatten : Op::kFlatten, std::move(body));
+          EXPECT_EQ(r.get_bool("changed", false),
+                    un ? eager.unflatten() : eager.flatten());
+          flattened = true;
+          ASSERT_EQ(row_ids(r), as_u64(eager.flatten_roots()))
+              << view << " step " << step;
+          break;
+        }
+      }
+    }
+
+    // A restarted daemon replays the journal into the same display.
+    SessionManager restarted(opts);
+    Request resume;
+    resume.id = next_id++;
+    resume.op = Op::kResumeSession;
+    resume.body = JsonValue::object();
+    resume.body.set("token", JsonValue::string(sid));
+    const JsonValue resumed = restarted.handle(resume);
+    ASSERT_TRUE(resumed.get_bool("ok", false)) << resumed.dump();
+    EXPECT_EQ(row_ids(resumed),
+              as_u64(flattened ? eager.flatten_roots()
+                               : eager.children_of(core::kViewRoot)))
+        << view;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

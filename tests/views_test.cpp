@@ -1,6 +1,12 @@
 // Tests for view mechanics beyond the Fig. 2 golden values: lazy
-// construction of the Callers View, sorting, flattening.
+// construction of the Callers View, sorting (lazy sort history against the
+// eager oracle, NaN keys), flattening.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <cmath>
+#include <random>
+#include <span>
 
 #include "pathview/support/error.hpp"
 
@@ -12,7 +18,11 @@
 #include "pathview/core/sort.hpp"
 #include "pathview/metrics/derived.hpp"
 #include "pathview/prof/correlate.hpp"
+#include "pathview/sim/engine.hpp"
+#include "pathview/ui/controller.hpp"
 #include "pathview/workloads/paper_example.hpp"
+#include "pathview/workloads/random_program.hpp"
+#include "sort_oracle.hpp"
 #include "test_util.hpp"
 
 namespace pathview::core {
@@ -220,6 +230,166 @@ TEST(Flatten, MetricsAreUnaffectedByFlattening) {
   }
   for (ViewNodeId id = 0; id < before.size(); ++id)
     EXPECT_EQ(v.table().get(incl, id), before[id]);
+}
+
+}  // namespace
+}  // namespace pathview::core
+
+namespace pathview::core {
+namespace {
+
+/// A random program's CCT, attributed for cycles and instructions.
+struct RandomFixture {
+  explicit RandomFixture(std::uint64_t seed)
+      : w(workloads::make_random_program({.seed = seed, .num_procs = 10})),
+        cct(prof::correlate(
+            sim::ExecutionEngine(*w.program, *w.lowering, w.run).run(),
+            *w.tree)),
+        attr(metrics::attribute_metrics(
+            cct, std::array{model::Event::kCycles,
+                            model::Event::kInstructions})) {}
+  workloads::Workload w;
+  prof::CanonicalCct cct;
+  metrics::Attribution attr;
+};
+
+/// A derived formula that is NaN wherever exclusive cycles fall below a
+/// quarter of inclusive ones (sqrt of a negative), real elsewhere.
+std::string nan_formula(const metrics::Attribution& attr) {
+  return "sqrt($" +
+         std::to_string(attr.cols.exclusive(model::Event::kCycles)) +
+         " - 0.25 * $" +
+         std::to_string(attr.cols.inclusive(model::Event::kCycles)) + ")";
+}
+
+std::vector<std::vector<ViewNodeId>> built_levels(const View& v) {
+  std::vector<std::vector<ViewNodeId>> out;
+  for (ViewNodeId id = 0; id < v.size(); ++id)
+    out.push_back(v.node(id).children);
+  return out;
+}
+
+TEST(Sort, ResortingANaNColumnIsIdempotent) {
+  const RandomFixture f(3);
+  CctView v(f.cct, f.attr);
+  const metrics::ColumnId nan_col =
+      metrics::add_derived_metric(v.table(), "nan", nan_formula(f.attr));
+  const std::span<const double> col = v.table().column(nan_col);
+  std::size_t nans = 0;
+  for (const double x : col) nans += std::isnan(x) ? 1 : 0;
+  ASSERT_GT(nans, 1u);
+  ASSERT_LT(nans, col.size() - 1);
+  for (const bool desc : {true, false}) {
+    sort_built_by(v, nan_col, desc);
+    const auto once = built_levels(v);
+    sort_built_by(v, nan_col, desc);
+    EXPECT_EQ(built_levels(v), once) << (desc ? "desc" : "asc");
+    // NaN last in both directions.
+    for (const auto& level : once)
+      for (std::size_t i = 1; i < level.size(); ++i)
+        EXPECT_FALSE(std::isnan(col[level[i - 1]]) &&
+                     !std::isnan(col[level[i]]));
+  }
+}
+
+TEST(Sort, SortByIsRecordedAndAppliedOnRead) {
+  Fixture f;
+  CctView v(f.cct, f.attr);
+  const metrics::ColumnId incl = f.attr.cols.inclusive(Event::kCycles);
+  const metrics::ColumnId excl = f.attr.cols.exclusive(Event::kCycles);
+  EXPECT_TRUE(v.sort_history().empty());
+  v.sort_by(incl);
+  v.sort_by(incl);  // consecutive repeats collapse
+  v.sort_by(excl, false);
+  v.sort_by(incl);
+  EXPECT_EQ(v.sort_history().size(), 3u);
+  EXPECT_EQ(v.sort_history().back(), (SortKey{incl, true}));
+  EXPECT_THROW(v.sort_by(99), InvalidArgument);
+  // Nothing moved yet; a read brings the level up to date.
+  const ViewNodeId m = child_labeled(v, v.root(), "m");
+  const std::vector<ViewNodeId> unsorted = v.node(m).children;
+  std::vector<ViewNodeId> expect = unsorted;
+  sort_level(expect, v.table().column(excl), false);
+  sort_level(expect, v.table().column(incl), true);
+  EXPECT_EQ(v.children_of(m), expect);
+}
+
+// Lazy ordering (View::sort_by + catch-up in children_of) against the eager
+// oracle over random op sequences on all three views: every render and, at
+// the end, every level must agree.
+TEST(LazySortOracle, RandomOpSequencesMatchEagerReplay) {
+  for (const std::uint64_t seed : {1u, 2u, 5u, 9u}) {
+    const RandomFixture f(seed);
+    ui::ViewerController lazy(f.cct, f.attr);
+    testutil::EagerSortOracle eager(f.cct, f.attr);
+    const metrics::ColumnId nan_col =
+        lazy.add_derived("nan", nan_formula(f.attr));
+    ASSERT_EQ(eager.add_derived("nan", nan_formula(f.attr)), nan_col);
+    const std::array<metrics::ColumnId, 4> cols = {
+        f.attr.cols.inclusive(Event::kCycles),
+        f.attr.cols.exclusive(Event::kCycles),  // many ties at zero
+        f.attr.cols.exclusive(Event::kInstructions), nan_col};
+    ui::TreeTableOptions opts;
+    opts.show_ids = true;
+
+    std::mt19937_64 rng(seed);
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng() % n);
+    };
+    for (int step = 0; step < 400; ++step) {
+      ASSERT_EQ(lazy.current().size(), eager.view().size());
+      const auto node = static_cast<ViewNodeId>(pick(lazy.current().size()));
+      switch (pick(9)) {
+        case 0:
+        case 1: {
+          const metrics::ColumnId c = cols[pick(cols.size())];
+          const bool desc = pick(2) == 0;
+          lazy.sort_by(c, desc);
+          eager.sort_by(c, desc);
+          break;
+        }
+        case 2:
+          lazy.expand(node);
+          eager.expand(node);
+          break;
+        case 3:
+          lazy.collapse(node);
+          eager.collapse(node);
+          break;
+        case 4: {
+          const metrics::ColumnId c = cols[pick(cols.size())];
+          ASSERT_EQ(lazy.run_hot_path(node, c), eager.run_hot_path(node, c));
+          break;
+        }
+        case 5:
+          if (pick(3) == 0) {
+            ASSERT_EQ(lazy.unflatten(), eager.unflatten());
+          } else {
+            ASSERT_EQ(lazy.flatten(), eager.flatten());
+          }
+          break;
+        case 6: {
+          const auto t = static_cast<ViewType>(pick(3));
+          lazy.select_view(t);
+          eager.select_view(t);
+          break;
+        }
+        default:
+          ASSERT_EQ(lazy.render(opts), eager.render(opts))
+              << "seed " << seed << " step " << step;
+          break;
+      }
+    }
+    for (const ViewType t :
+         {ViewType::kCallingContext, ViewType::kCallers, ViewType::kFlat}) {
+      lazy.select_view(t);
+      eager.select_view(t);
+      EXPECT_EQ(lazy.render(opts), eager.render(opts)) << "seed " << seed;
+      for (ViewNodeId id = 0; id < lazy.current().size(); ++id)
+        ASSERT_EQ(lazy.current().children_of(id), eager.children_of(id))
+            << "seed " << seed << " node " << id;
+    }
+  }
 }
 
 }  // namespace

@@ -334,6 +334,9 @@ chaos_smoke build
 
 if [ "${PATHVIEW_SKIP_SANITIZE:-0}" != "1" ]; then
   echo "== sanitizer pass (ASan+UBSan)"
+  # UBSan reports are recoverable by default; halting makes any new report
+  # fail the pass instead of scrolling by.
+  export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
   cmake -B build-asan -DPATHVIEW_SANITIZE=ON
   cmake --build build-asan
   ctest --test-dir build-asan --output-on-failure --timeout 300

@@ -246,8 +246,13 @@ std::unique_ptr<structure::StructureTree> read_structure_block(Reader& r) {
 
 prof::CanonicalCct read_cct_block(Reader& r,
                                   const structure::StructureTree* tree) {
-  prof::CanonicalCct cct(tree);
+  PV_SPAN("db.binary.cct");
   const std::uint64_t cn = r.u64();
+  // A record is four varints of at least one byte each, so a count past
+  // remaining / 4 cannot be honest; checking it first bounds the builder's
+  // reservation by the input size.
+  if (cn > r.remaining() / 4) r.fail("cct record count exceeds the input");
+  detail::CctBuilder builder(tree, cn, "binary db");
   for (std::uint64_t i = 0; i < cn; ++i) {
     detail::CctRecord rec;
     rec.kind = r.u64();
@@ -255,9 +260,9 @@ prof::CanonicalCct read_cct_block(Reader& r,
     rec.scope = r.u64();
     const std::uint64_t cs = r.u64();  // biased by one; 0 = none
     rec.call_site = cs == 0 ? structure::kSNull : cs - 1;
-    detail::append_cct_record(cct, rec, "binary db", r.pos());
+    builder.add(rec, r.pos());
   }
-  return cct;
+  return builder.build();
 }
 
 void read_samples_block(Reader& r, prof::CanonicalCct& cct) {
@@ -413,7 +418,10 @@ std::optional<V2Index> read_footer(std::string_view bytes) {
       Reader r(bytes, f + 1);
       V2Index idx;
       const std::uint64_t n = r.u64();
-      if (n > bytes.size()) continue;  // absurd count: keep scanning
+      // Each entry is three varints of at least one byte, so a count past
+      // the footer's own bytes / 3 is absurd; bounding it here keeps the
+      // reservation below proportional to the footer, not the file.
+      if (n > footer_bytes.size() / 3) continue;
       idx.sections.reserve(n);
       bool ok = true;
       for (std::uint64_t i = 0; i < n && ok; ++i) {

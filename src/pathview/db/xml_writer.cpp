@@ -133,14 +133,15 @@ Experiment from_xml(std::string_view xml) {
     if (added.kind == structure::SKind::kStmt) tree->map_addr(added.entry, id);
   }
 
-  prof::CanonicalCct cct(tree.get());
-  for (const XmlNode& c : root.child("CCT").children) {
+  const std::vector<XmlNode>& records = root.child("CCT").children;
+  detail::CctBuilder builder(tree.get(), records.size(), "xml");
+  for (const XmlNode& c : records) {
     if (c.name != "N") throw InvalidArgument("xml: expected <N>");
-    detail::append_cct_record(cct,
-                              {to_u64(c.attr("k")), to_u64(c.attr("p")),
-                               to_u64(c.attr("s")), to_u64(c.attr("cs"))},
-                              "xml", c.offset);
+    builder.add({to_u64(c.attr("k")), to_u64(c.attr("p")), to_u64(c.attr("s")),
+                 to_u64(c.attr("cs"))},
+                c.offset);
   }
+  prof::CanonicalCct cct = builder.build();
 
   for (const XmlNode& v : root.child("Samples").children) {
     if (v.name != "V") throw InvalidArgument("xml: expected <V>");

@@ -83,12 +83,22 @@ Ensemble Ensemble::align(
   if (opts.regress_threshold < 0.0)
     throw InvalidArgument("ensemble: negative regression threshold");
 
+  EnsembleOptions resolved = std::move(opts);
+  if (resolved.events.empty())
+    resolved.events.assign(metrics::all_events().begin(),
+                           metrics::all_events().end());
+  Ensemble out;
+  out.opts_ = std::move(resolved);
+  out.align_structure(members, paths);
+  out.build_columns(members);
+  return out;
+}
+
+void Ensemble::align_structure(
+    const std::vector<std::shared_ptr<const db::Experiment>>& members,
+    const std::vector<std::string>& paths) {
+  PV_SPAN("ensemble.align.union");
   const std::size_t N = members.size();
-  const std::vector<model::Event> events =
-      opts.events.empty()
-          ? std::vector<model::Event>(metrics::all_events().begin(),
-                                      metrics::all_events().end())
-          : opts.events;
 
   // --- Phase 1: union structure tree (insertion order) ----------------------
   // Scopes from every member are folded into one working tree keyed by the
@@ -135,34 +145,13 @@ Ensemble Ensemble::align(
     }
   }
 
-  // --- Phase 2: union CCT (insertion order), summed raw samples -------------
-  prof::CanonicalCct wcct(&wtree);
-  std::vector<std::vector<CctNodeId>> cmap(N);
-  for (std::size_t k = 0; k < N; ++k) {
-    const prof::CanonicalCct& c = members[k]->cct();
-    cmap[k].assign(c.size(), prof::kCctNull);
-    cmap[k][prof::kCctRoot] = prof::kCctRoot;
-    wcct.add_samples(prof::kCctRoot, c.samples(prof::kCctRoot));
-    c.walk([&](CctNodeId id, int) {
-      if (id == prof::kCctRoot) return;
-      const prof::CctNode& n = c.node(id);
-      const SNodeId sc =
-          n.scope == structure::kSNull ? structure::kSNull : smap[k][n.scope];
-      const SNodeId cs = n.call_site == structure::kSNull ? structure::kSNull
-                                                          : smap[k][n.call_site];
-      const CctNodeId u = wcct.find_or_add_child(cmap[k][n.parent], n.kind, sc, cs);
-      wcct.add_samples(u, c.samples(id));
-      cmap[k][id] = u;
-    });
-  }
-
-  // --- Phase 3: canonicalization --------------------------------------------
-  // The working union's node numbering follows member order. Rebuild both
-  // trees with children sorted by intrinsic keys and DFS-renumber, so the
-  // supergraph is identical under any member permutation.
-  Ensemble out;
-  out.tree_ = std::make_unique<structure::StructureTree>();
-  structure::StructureTree& ctree = *out.tree_;
+  // --- Phase 2: canonical union structure tree -----------------------------
+  // The working tree's numbering follows member order. Rebuild it with
+  // children sorted by intrinsic keys and DFS-renumber, so the supergraph is
+  // identical under any member permutation; then compose each member's
+  // scope map with the renumbering.
+  tree_ = std::make_unique<structure::StructureTree>();
+  structure::StructureTree& ctree = *tree_;
   std::vector<SNodeId> tmap(wtree.size(), structure::kSNull);
   tmap[wtree.root()] = ctree.root();
   {
@@ -218,66 +207,114 @@ Ensemble Ensemble::align(
     }
   }
 
-  out.cct_ = std::make_unique<prof::CanonicalCct>(&ctree);
-  prof::CanonicalCct& ccct = *out.cct_;
-  ccct.reserve(wcct.size());
-  std::vector<CctNodeId> kmap(wcct.size(), prof::kCctNull);
-  kmap[prof::kCctRoot] = prof::kCctRoot;
-  ccct.add_samples(prof::kCctRoot, wcct.samples(prof::kCctRoot));
-  {
-    auto mapped = [&](SNodeId s) {
-      return s == structure::kSNull ? structure::kSNull : tmap[s];
-    };
-    auto sorted_children = [&](CctNodeId id) {
-      std::vector<CctNodeId> ch = wcct.node(id).children;
-      std::sort(ch.begin(), ch.end(), [&](CctNodeId a, CctNodeId b) {
-        const prof::CctNode& na = wcct.node(a);
-        const prof::CctNode& nb = wcct.node(b);
-        if (na.kind != nb.kind) return na.kind < nb.kind;
-        if (mapped(na.scope) != mapped(nb.scope))
-          return mapped(na.scope) < mapped(nb.scope);
-        return mapped(na.call_site) < mapped(nb.call_site);
-      });
-      return ch;
-    };
-    // Preorder keeps parent ids smaller than child ids — the invariant the
-    // attribution reverse sweep and the views rely on.
-    std::vector<CctNodeId> stack;
-    {
-      const auto ch = sorted_children(prof::kCctRoot);
-      stack.assign(ch.rbegin(), ch.rend());
-    }
-    while (!stack.empty()) {
-      const CctNodeId wid = stack.back();
-      stack.pop_back();
-      const prof::CctNode& wn = wcct.node(wid);
-      const CctNodeId cid = ccct.append_child(kmap[wn.parent], wn.kind,
-                                              mapped(wn.scope),
-                                              mapped(wn.call_site));
-      ccct.add_samples(cid, wcct.samples(wid));
-      kmap[wid] = cid;
-      const auto ch = sorted_children(wid);
-      for (auto it = ch.rbegin(); it != ch.rend(); ++it) stack.push_back(*it);
-    }
-  }
+  for (std::vector<SNodeId>& m : smap)
+    for (SNodeId& s : m)
+      if (s != structure::kSNull) s = tmap[s];
 
-  // member node id -> supergraph node id (compose the two phases).
-  out.maps_.resize(N);
-  for (std::size_t k = 0; k < N; ++k) {
-    out.maps_[k].resize(cmap[k].size());
-    for (std::size_t i = 0; i < cmap[k].size(); ++i)
-      out.maps_[k][i] = kmap[cmap[k][i]];
+  // --- Phase 3: supergraph CCT, one preorder pass ---------------------------
+  // A group is the set of (member, node) contributors that align to one
+  // supergraph node, listed in (member, member preorder) order. Popping a
+  // group appends its node — preorder, so parent ids stay smaller than
+  // child ids, the invariant the attribution reverse sweep and the views
+  // rely on — sums its contributors' samples in that order, maps them, and
+  // gathers their children. Sorting the children by (kind, canonical scope,
+  // canonical call site), gather position breaking ties, turns each run of
+  // equal keys into one child group whose contributors keep the (member,
+  // member preorder) order: a member's contributors to one group sit at the
+  // same depth, so none is an ancestor of another and the children of an
+  // earlier one precede those of a later one in the member's preorder.
+  cct_ = std::make_unique<prof::CanonicalCct>(&ctree);
+  prof::CanonicalCct& ccct = *cct_;
+  maps_.resize(N);
+  for (std::size_t k = 0; k < N; ++k)
+    maps_[k].assign(members[k]->cct().size(), prof::kCctNull);
+  {
+    struct Contributor {
+      std::uint32_t member;
+      CctNodeId node;
+    };
+    // Contributors [begin, end) of `pool`, to become a child of `parent`.
+    // Pending groups tile the tail of `pool` in stack order, so popping a
+    // group and truncating the pool to its begin frees exactly its range.
+    struct Group {
+      CctNodeId parent;
+      std::size_t begin;
+      std::size_t end;
+    };
+    struct Child {
+      std::uint64_t scopes;  // canonical scope << 32 | canonical call site
+      std::uint32_t kind;
+      std::uint32_t pos;  // gather position
+      Contributor from;
+      bool same_key(const Child& o) const {
+        return kind == o.kind && scopes == o.scopes;
+      }
+      bool operator<(const Child& o) const {
+        if (kind != o.kind) return kind < o.kind;
+        if (scopes != o.scopes) return scopes < o.scopes;
+        return pos < o.pos;
+      }
+    };
+    const auto canon = [&smap](std::uint32_t k, SNodeId s) {
+      return s == structure::kSNull ? structure::kSNull : smap[k][s];
+    };
+    std::vector<Contributor> pool;
+    for (std::uint32_t k = 0; k < N; ++k) pool.push_back({k, prof::kCctRoot});
+    std::vector<Group> stack{{prof::kCctNull, 0, N}};
+    std::vector<Child> kids;
+    while (!stack.empty()) {
+      const Group g = stack.back();
+      stack.pop_back();
+      CctNodeId id = prof::kCctRoot;
+      if (g.parent != prof::kCctNull) {
+        const Contributor first = pool[g.begin];
+        const prof::CctNode& n = members[first.member]->cct().node(first.node);
+        id = ccct.append_child(g.parent, n.kind, canon(first.member, n.scope),
+                               canon(first.member, n.call_site));
+      }
+      kids.clear();
+      for (std::size_t i = g.begin; i < g.end; ++i) {
+        const Contributor c = pool[i];
+        const prof::CanonicalCct& mc = members[c.member]->cct();
+        ccct.add_samples(id, mc.samples(c.node));
+        maps_[c.member][c.node] = id;
+        for (const CctNodeId ch : mc.node(c.node).children) {
+          const prof::CctNode& n = mc.node(ch);
+          kids.push_back(
+              {static_cast<std::uint64_t>(canon(c.member, n.scope)) << 32 |
+                   canon(c.member, n.call_site),
+               static_cast<std::uint32_t>(n.kind),
+               static_cast<std::uint32_t>(kids.size()),
+               {c.member, ch}});
+        }
+      }
+      pool.resize(g.begin);
+      if (kids.empty()) continue;
+      std::sort(kids.begin(), kids.end());
+      std::size_t runs = 1;
+      for (std::size_t j = 1; j < kids.size(); ++j)
+        if (!kids[j].same_key(kids[j - 1])) ++runs;
+      ccct.reserve_children(id, runs);
+      // Push the runs last key first, so the smallest key pops next.
+      for (std::size_t e = kids.size(); e > 0;) {
+        std::size_t b = e - 1;
+        while (b > 0 && kids[b - 1].same_key(kids[b])) --b;
+        stack.push_back({id, pool.size(), pool.size() + (e - b)});
+        for (std::size_t j = b; j < e; ++j) pool.push_back(kids[j].from);
+        e = b;
+      }
+    }
   }
 
   // --- Phase 4: presence bitmaps, degraded propagation, member infos --------
-  out.words_ = (N + 63) / 64;
-  out.presence_.assign(ccct.size() * out.words_, 0);
+  words_ = (N + 63) / 64;
+  presence_.assign(ccct.size() * words_, 0);
   for (std::size_t k = 0; k < N; ++k)
-    for (const CctNodeId u : out.maps_[k])
-      out.presence_[u * out.words_ + k / 64] |= std::uint64_t{1} << (k % 64);
+    for (const CctNodeId u : maps_[k])
+      presence_[u * words_ + k / 64] |= std::uint64_t{1} << (k % 64);
 
   bool degraded = false;
-  out.members_.reserve(N);
+  members_.reserve(N);
   for (std::size_t k = 0; k < N; ++k) {
     const db::Experiment& e = *members[k];
     degraded = degraded || e.degraded();
@@ -288,26 +325,31 @@ Ensemble Ensemble::align(
     info.cct_nodes = e.cct().size();
     info.degraded = e.degraded();
     info.dropped_ranks = e.dropped_ranks();
-    out.members_.push_back(std::move(info));
+    members_.push_back(std::move(info));
   }
   ccct.set_degraded(degraded);
+}
+
+void Ensemble::build_columns(
+    const std::vector<std::shared_ptr<const db::Experiment>>& members) {
+  PV_SPAN("ensemble.align.columns");
+  const std::size_t N = members.size();
+  const std::vector<model::Event>& events = opts_.events;
 
   // --- Phase 5: ensemble metric table ---------------------------------------
   // Plain columns are the ordinary attribution over the union's summed
   // samples, so hot paths, `total` and pre-ensemble queries keep their
   // single-run meaning (and, attribution being linear, each plain column
   // equals the sum of its run columns).
-  out.opts_ = std::move(opts);
-  out.opts_.events = events;
-  out.attr_ = metrics::attribute_metrics(ccct, events);
-  metrics::MetricTable& table = out.attr_.table;
-  const std::size_t rows = ccct.size();
+  attr_ = metrics::attribute_metrics(*cct_, events);
+  metrics::MetricTable& table = attr_.table;
+  const std::size_t rows = cct_->size();
 
   table.ensure_rows(rows);
   std::vector<double> presence(rows);
   for (std::size_t r = 0; r < rows; ++r)
     presence[r] =
-        static_cast<double>(out.presence_count(static_cast<CctNodeId>(r)));
+        static_cast<double>(presence_count(static_cast<CctNodeId>(r)));
   table.add_column({std::string(kPresenceColumn), metrics::MetricKind::kSummary,
                     model::Event::kCycles, true, {}},
                    std::move(presence));
@@ -324,8 +366,8 @@ Ensemble Ensemble::align(
     std::vector<std::vector<double>> runs;  // [member][row]
     std::vector<std::vector<double>> stats;  // [stat_cols order][row]
   };
-  const double thr = out.opts_.regress_threshold;
-  const std::size_t B = out.opts_.baseline;
+  const double thr = opts_.regress_threshold;
+  const std::size_t B = opts_.baseline;
   const std::string bref = "run" + std::to_string(B);
   const struct {
     std::string_view stat;
@@ -353,7 +395,7 @@ Ensemble Ensemble::align(
   support::parallel_for(N, [&](std::size_t k) {
     const metrics::Attribution ak =
         metrics::attribute_metrics(members[k]->cct(), events);
-    const std::vector<CctNodeId>& map = out.maps_[k];
+    const std::vector<CctNodeId>& map = maps_[k];
     for (Block& b : blocks) {
       const std::span<const double> src = ak.table.column(
           b.incl ? ak.cols.inclusive(b.e) : ak.cols.exclusive(b.e));
@@ -421,7 +463,6 @@ Ensemble Ensemble::align(
                         b.e, b.incl, stat_cols[s].formula},
                        std::move(b.stats[s]));
   }
-  return out;
 }
 
 std::size_t Ensemble::presence_count(prof::CctNodeId n) const {

@@ -119,6 +119,15 @@ class Ensemble {
  private:
   Ensemble() = default;
 
+  /// The union structure tree, the supergraph CCT with its summed samples,
+  /// the member maps, presence bitmaps and member infos.
+  void align_structure(
+      const std::vector<std::shared_ptr<const db::Experiment>>& members,
+      const std::vector<std::string>& paths);
+  /// The ensemble metric table over the aligned structure.
+  void build_columns(
+      const std::vector<std::shared_ptr<const db::Experiment>>& members);
+
   std::unique_ptr<structure::StructureTree> tree_;
   std::unique_ptr<prof::CanonicalCct> cct_;
   metrics::Attribution attr_;

@@ -20,7 +20,7 @@ std::atomic<std::uint32_t> g_mode{[]() -> std::uint32_t {
   return (env != nullptr && *env != '\0') ? kModeRecord : 0u;
 }()};
 
-thread_local bool t_flight_armed = false;
+constinit thread_local bool t_flight_armed = false;
 
 }  // namespace detail
 

@@ -45,7 +45,7 @@ namespace detail {
 /// additionally publish onto the thread's lock-free live stack). The
 /// per-thread kFlight bit lives in `t_flight_armed`, not here.
 extern std::atomic<std::uint32_t> g_mode;
-extern thread_local bool t_flight_armed;
+extern constinit thread_local bool t_flight_armed;
 inline constexpr std::uint32_t kModeRecord = 1u;
 inline constexpr std::uint32_t kModeLive = 2u;
 inline constexpr std::uint32_t kModeFlight = 4u;

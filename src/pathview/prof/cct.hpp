@@ -79,8 +79,9 @@ class CanonicalCct {
                               structure::SNodeId scope,
                               structure::SNodeId call_site = structure::kSNull);
 
-  /// Bulk-construction path (used by the pipeline merge, which materializes
-  /// an already-deduplicated union tree): append a child WITHOUT looking for
+  /// Bulk-construction path (used by the pipeline merge, the database
+  /// decoders and the ensemble supergraph build, which all materialize
+  /// already-deduplicated trees): append a child WITHOUT looking for
   /// an existing sibling of the same identity — the caller guarantees
   /// uniqueness. The sibling index that backs find_or_add_child catches up
   /// lazily on its next use (appended nodes are indexed in id order, so

@@ -5,16 +5,49 @@
 #include "pathview/support/error.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <new>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "pathview/db/experiment.hpp"
 #include "pathview/db/xml.hpp"
 #include "pathview/prof/correlate.hpp"
 #include "pathview/sim/engine.hpp"
+#include "pathview/support/crc32c.hpp"
+#include "pathview/support/prng.hpp"
 #include "pathview/workloads/paper_example.hpp"
 #include "pathview/workloads/random_program.hpp"
+#include "cct_decode_oracle.hpp"
+
+// The largest single allocation made while `g_track_allocs` is set: the
+// footer test below bounds what a crafted section count can reserve.
+namespace {
+std::atomic<bool> g_track_allocs{false};
+std::atomic<std::size_t> g_largest_alloc{0};
+}  // namespace
+
+// GCC pairs the builtin meaning of new/delete with malloc/free and warns on
+// these replacements; they allocate and free consistently.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  if (g_track_allocs.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest_alloc.compare_exchange_weak(seen, n)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace pathview::db {
 namespace {
@@ -265,6 +298,225 @@ TEST(XmlDb, RejectsOutOfRangeParentAndSampleNode) {
                ParseError);
   EXPECT_THROW(from_xml(replace_first("\" cs=\"", "\" cs=\"4000000")),
                ParseError);
+}
+
+// --- the batch CCT decoder against the record-at-a-time reference ----------
+
+Experiment random_experiment(std::uint64_t seed, std::uint32_t procs) {
+  workloads::Workload w = workloads::make_random_program(
+      {.seed = seed, .num_procs = procs, .max_body_stmts = 4});
+  sim::ExecutionEngine eng(*w.program, *w.lowering, w.run);
+  const prof::CanonicalCct cct = prof::correlate(eng.run(), *w.tree);
+  return Experiment::capture(*w.tree, cct, "rand" + std::to_string(seed), 1);
+}
+
+/// Every node field, child list and sample bit.
+void expect_same_cct(const prof::CanonicalCct& want,
+                     const prof::CanonicalCct& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (prof::CctNodeId n = 0; n < want.size(); ++n) {
+    const prof::CctNode& a = want.node(n);
+    const prof::CctNode& b = got.node(n);
+    EXPECT_TRUE(a.kind == b.kind && a.parent == b.parent &&
+                a.scope == b.scope && a.call_site == b.call_site &&
+                a.children == b.children)
+        << what << ": node " << n;
+    EXPECT_EQ(std::memcmp(&want.samples(n), &got.samples(n),
+                          sizeof(model::EventVector)),
+              0)
+        << what << ": samples of node " << n;
+  }
+}
+
+TEST(CctDecodeOracle, BatchBuildMatchesRecordAtATimeDecode) {
+  for (std::uint64_t seed = 11; seed <= 22; ++seed) {
+    const Experiment exp =
+        random_experiment(seed, 4 + static_cast<std::uint32_t>(seed % 12));
+    const Experiment ref =
+        oracle::reference_from_binary_v1(to_binary(exp, BinaryVersion::kV1));
+    const std::string tag = "seed " + std::to_string(seed);
+    const std::string v1 = to_binary(exp, BinaryVersion::kV1);
+    const std::string v2 = to_binary(exp);
+    const std::string xml = to_xml(exp);
+    const Experiment from_v1 = from_binary(v1);
+    const Experiment from_v2 = from_binary(v2);
+    const Experiment from_x = from_xml(xml);
+    expect_same_cct(ref.cct(), from_v1.cct(), tag + " PVDB1");
+    expect_same_cct(ref.cct(), from_v2.cct(), tag + " PVDB2");
+    expect_same_cct(ref.cct(), from_x.cct(), tag + " XML");
+    std::string why;
+    EXPECT_TRUE(Experiment::equivalent(exp, from_v2, &why)) << tag << why;
+    EXPECT_TRUE(Experiment::equivalent(exp, from_x, &why)) << tag << why;
+    EXPECT_EQ(to_binary(from_v1, BinaryVersion::kV1), v1) << tag;
+    EXPECT_EQ(to_binary(from_v2), v2) << tag;
+    EXPECT_EQ(to_xml(from_x), xml) << tag;
+  }
+}
+
+TEST(CctDecodeOracle, DuplicateRecordsFailAtTheLowestDuplicate) {
+  Prng rng(515);
+  for (std::uint64_t seed = 31; seed <= 40; ++seed) {
+    const Experiment exp = random_experiment(seed, 6);
+    auto tree = std::make_unique<structure::StructureTree>(exp.tree());
+    prof::CanonicalCct cct = exp.cct().clone_with_tree(tree.get());
+    // Repeat one to three random records at the end, in random order, so
+    // the lowest-id duplicate need not repeat the lowest-id original.
+    const std::size_t dups = 1 + rng.next_below(3);
+    for (std::size_t d = 0; d < dups; ++d) {
+      const prof::CctNode n = cct.node(static_cast<prof::CctNodeId>(
+          1 + rng.next_below(exp.cct().size() - 1)));
+      cct.append_child(n.parent, n.kind, n.scope, n.call_site);
+    }
+    const Experiment bad(std::move(tree), std::move(cct), "dup", 1);
+    const std::string bytes = to_binary(bad, BinaryVersion::kV1);
+    std::string want;
+    std::size_t want_at = 0;
+    try {
+      oracle::reference_from_binary_v1(bytes);
+    } catch (const ParseError& e) {
+      want = e.what();
+      want_at = e.offset();
+    }
+    ASSERT_NE(want.find("duplicate cct record"), std::string::npos) << want;
+    try {
+      from_binary(bytes);
+      ADD_FAILURE() << "seed " << seed << ": duplicate accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.what(), want) << "seed " << seed;
+      EXPECT_EQ(e.offset(), want_at) << "seed " << seed;
+    }
+    EXPECT_THROW(from_binary(to_binary(bad)), ParseError);
+    EXPECT_THROW(from_xml(to_xml(bad)), ParseError);
+  }
+}
+
+/// LEB128 bytes of `v`, as the writer encodes varints.
+std::string varint(std::uint64_t v) {
+  std::string out;
+  while (v >= 0x80) {
+    out += static_cast<char>((v & 0x7f) | 0x80);
+    v >>= 7;
+  }
+  out += static_cast<char>(v);
+  return out;
+}
+
+TEST(BinaryDb, MutatedV1BytesDecodeOrThrowParseError) {
+  // PVDB1 has no checksums, so every mutation reaches the decoders. Each
+  // case must end the same way under the batch decoder and the reference:
+  // both throw the same error class, or both return equivalent experiments.
+  const Experiment exp = random_experiment(84, 3);  // 318 CCT nodes
+  const std::string base = to_binary(exp, BinaryVersion::kV1);
+  std::size_t cct_at = 0;
+  (void)oracle::reference_from_binary_v1(base, &cct_at);
+  ASSERT_LT(cct_at, base.size());
+  Prng rng(0x5eed);
+  // Most mutations land in the CCT and sample sections.
+  const auto pos = [&] {
+    return rng.next_bool(0.8) ? cct_at + rng.next_below(base.size() - cct_at)
+                              : rng.next_below(base.size());
+  };
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string bad = base;
+    switch (rng.next_below(3)) {
+      case 0:  // one to three bit flips
+        for (std::uint64_t f = 1 + rng.next_below(3); f > 0; --f)
+          bad[pos()] ^= static_cast<char>(1u << rng.next_below(8));
+        break;
+      case 1:  // truncation
+        bad.resize(pos());
+        break;
+      default: {  // replace up to three bytes with another varint
+        // Every tenth splice rewrites the CCT record count itself.
+        const std::size_t at = i % 10 == 0 ? cct_at : pos();
+        const std::uint64_t pick = rng.next_below(3);
+        const std::uint64_t v =
+            pick == 0   ? rng.next_below(8)
+            : pick == 1 ? rng.next_below(2 * exp.cct().size())
+                        : rng.next_u64() >> rng.next_below(64);
+        bad.replace(at, std::min<std::size_t>(rng.next_below(4), bad.size() - at),
+                    varint(v));
+      }
+    }
+    // The outcome: decoded, or the error class. A user metric whose formula
+    // the mutation broke is rejected by Experiment::add_user_metric with
+    // InvalidArgument in both decoders; every other failure is a ParseError.
+    const auto run = [&bad](auto decode, std::optional<Experiment>& out) {
+      try {
+        out.emplace(decode(bad));
+        return std::string("decoded");
+      } catch (const ParseError& e) {
+        return std::string("ParseError");
+      } catch (const InvalidArgument& e) {
+        return std::string("InvalidArgument: ") + e.what();
+      }
+    };
+    std::optional<Experiment> got;
+    std::optional<Experiment> want;
+    const std::string got_end =
+        run([](std::string_view b) { return from_binary(b); }, got);
+    const std::string want_end = run(
+        [](std::string_view b) { return oracle::reference_from_binary_v1(b); },
+        want);
+    ASSERT_EQ(got_end, want_end) << "case " << i;
+    if (got) {
+      ++decoded;
+      std::string why;
+      EXPECT_TRUE(Experiment::equivalent(*want, *got, &why))
+          << "case " << i << ": " << why;
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 100u);
+  EXPECT_GT(rejected, 100u);
+}
+
+TEST(BinaryDb, FooterSectionCountIsBoundedByTheFooter) {
+  // A sealed footer whose section count is below the file size but far
+  // above what its own bytes can hold: the load must fail without reserving
+  // space for that many section entries.
+  const std::string bytes = to_binary(random_experiment(88, 12));
+  // Walk the section headers to the footer's 'F'.
+  std::size_t pos = 6;
+  const auto read_varint = [&bytes, &pos] {
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      const auto b = static_cast<std::uint8_t>(bytes[pos++]);
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
+    }
+  };
+  while (bytes[pos] == 'S') {
+    ++pos;
+    (void)read_varint();
+    pos += read_varint() + 4;
+  }
+  ASSERT_EQ(bytes[pos], 'F');
+  const std::size_t footer_at = pos++;
+  (void)read_varint();  // the honest section count
+  const std::string entries =
+      bytes.substr(pos, bytes.size() - 8 - pos);  // up to crc + trailer
+  std::string footer = "F" + varint(bytes.size() - 1) + entries;
+  std::string crafted = bytes.substr(0, footer_at) + footer;
+  const std::uint32_t crc = support::crc32c(footer);
+  for (int i = 0; i < 4; ++i) crafted += static_cast<char>(crc >> (8 * i));
+  crafted += "PVZ1";
+  ASSERT_GT(crafted.size(), 10000u);
+
+  g_largest_alloc = 0;
+  g_track_allocs = true;
+  bool threw = false;
+  try {
+    from_binary(crafted);
+  } catch (const ParseError&) {
+    threw = true;
+  }
+  g_track_allocs = false;
+  EXPECT_TRUE(threw);
+  EXPECT_LT(g_largest_alloc.load(), crafted.size());
 }
 
 TEST(Db, MissingFilesThrowTypedErrors) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -22,7 +23,9 @@
 #include "pathview/structure/lower.hpp"
 #include "pathview/structure/recovery.hpp"
 #include "pathview/support/error.hpp"
+#include "pathview/support/prng.hpp"
 #include "pathview/workloads/random_program.hpp"
+#include "ensemble_union_oracle.hpp"
 
 namespace pathview::ensemble {
 namespace {
@@ -338,6 +341,136 @@ TEST(Ensemble, SeededSixMemberDigestIsPinned) {
   // node and cell is shuffle-invariant bit for bit.
   EXPECT_EQ(ensemble_digest(s, slot_of, false),
             ensemble_digest(e, {0, 1, 2, 3, 4, 5}, false));
+}
+
+/// A seeded member over a synthetic structure tree whose scopes draw their
+/// union keys from a tiny alphabet, so one member often holds two sibling
+/// scopes with the same key (distinct entries); CCT nodes over such twins
+/// are added on purpose and merge into one supergraph node. CCT nodes go
+/// under random parents, so child lists, id order and preorder all differ.
+/// `shape_seed` fixes the tree and CCT, `sample_seed` the samples, whose
+/// magnitudes span 2^-20..2^40 so any change in summation order shows in
+/// the bits.
+std::shared_ptr<const db::Experiment> colliding_member(std::uint64_t shape_seed,
+                                                      std::uint64_t sample_seed) {
+  Prng rng(shape_seed);
+  Prng values(sample_seed);
+  auto tree = std::make_unique<structure::StructureTree>();
+  const std::size_t nscopes = 10 + rng.next_below(30);
+  for (std::size_t i = 0; i < nscopes; ++i) {
+    structure::SNode n;
+    n.kind = static_cast<structure::SKind>(1 + rng.next_below(6));
+    n.parent = static_cast<structure::SNodeId>(
+        rng.next_below(std::min<std::size_t>(tree->size(), 6)));
+    n.name = tree->names().intern(std::string(1, 'a' + rng.next_below(2)));
+    n.file = tree->names().intern(rng.next_bool(0.5) ? "x.c" : "y.c");
+    n.line = static_cast<int>(rng.next_below(2));
+    n.call_line = static_cast<int>(rng.next_below(2));
+    n.entry = sample_seed * 1000 + i;
+    n.has_source = rng.next_bool(0.8);
+    tree->add_node(std::move(n));
+  }
+  // twins[s]: the other scopes sharing s's parent and union key.
+  std::vector<std::vector<structure::SNodeId>> twins(tree->size());
+  for (structure::SNodeId a = 1; a < tree->size(); ++a)
+    for (structure::SNodeId b = 1; b < tree->size(); ++b) {
+      const structure::SNode& x = tree->node(a);
+      const structure::SNode& y = tree->node(b);
+      if (a != b && x.parent == y.parent && x.kind == y.kind &&
+          x.name == y.name && x.file == y.file && x.line == y.line &&
+          x.call_line == y.call_line)
+        twins[a].push_back(b);
+    }
+  prof::CanonicalCct cct(tree.get());
+  const auto sample = [&values] {
+    model::EventVector ev;
+    for (double& v : ev.v)
+      if (values.next_bool(0.5))
+        v = std::ldexp(values.next_double(),
+                       static_cast<int>(values.next_below(60)) - 20);
+    return ev;
+  };
+  cct.add_samples(prof::kCctRoot, sample());
+  const std::size_t nnodes = 30 + rng.next_below(150);
+  for (std::size_t i = 0; i < nnodes; ++i) {
+    const auto parent = static_cast<prof::CctNodeId>(rng.next_below(cct.size()));
+    const auto kind = static_cast<prof::CctKind>(1 + rng.next_below(4));
+    const auto scope =
+        static_cast<structure::SNodeId>(1 + rng.next_below(tree->size() - 1));
+    const structure::SNodeId call_site =
+        rng.next_bool(0.4) ? structure::kSNull
+                           : static_cast<structure::SNodeId>(
+                                 rng.next_below(tree->size()));
+    prof::CctNodeId id = cct.find_or_add_child(parent, kind, scope, call_site);
+    // Now and then give an existing node a sibling over a twin scope.
+    const prof::CctNode n = cct.node(static_cast<prof::CctNodeId>(
+        1 + rng.next_below(cct.size() - 1)));
+    if (!twins[n.scope].empty() && rng.next_bool(0.5))
+      id = cct.find_or_add_child(
+          n.parent, n.kind,
+          twins[n.scope][rng.next_below(twins[n.scope].size())], n.call_site);
+    cct.add_samples(id, sample());
+  }
+  return std::make_shared<db::Experiment>(
+      std::move(tree), std::move(cct), "c" + std::to_string(sample_seed), 1);
+}
+
+TEST(EnsembleUnionOracle, OnePassUnionMatchesHashUnionAndRebuild) {
+  std::size_t merged = 0;  // member nodes sharing a supergraph node
+  for (std::uint64_t round = 0; round < 12; ++round) {
+    std::vector<std::shared_ptr<const db::Experiment>> members;
+    const std::size_t n = 1 + round % 6;
+    for (std::size_t k = 0; k < n; ++k)
+      // Odd rounds mix two shapes, so some paths are in only some members.
+      members.push_back(colliding_member(
+          100 * round + (round % 2 == 1 ? k % 2 : 0), 1000 * round + k));
+    if (round % 4 == 3)
+      for (const auto& m : seeded_members()) members.push_back(m);
+    const Ensemble e = Ensemble::align(members);
+    const oracle::UnionReference ref = oracle::reference_union(members);
+
+    const structure::StructureTree& t = e.tree();
+    ASSERT_EQ(t.size(), ref.tree->size()) << "round " << round;
+    for (structure::SNodeId s = 0; s < t.size(); ++s) {
+      const structure::SNode& a = t.node(s);
+      const structure::SNode& b = ref.tree->node(s);
+      EXPECT_TRUE(a.kind == b.kind && a.parent == b.parent &&
+                  t.names().str(a.name) == ref.tree->names().str(b.name) &&
+                  t.names().str(a.file) == ref.tree->names().str(b.file) &&
+                  a.line == b.line && a.call_line == b.call_line &&
+                  a.entry == b.entry && a.has_source == b.has_source &&
+                  a.children == b.children)
+          << "round " << round << " scope " << s;
+    }
+
+    const prof::CanonicalCct& c = e.cct();
+    ASSERT_EQ(c.size(), ref.cct->size()) << "round " << round;
+    for (prof::CctNodeId u = 0; u < c.size(); ++u) {
+      const prof::CctNode& a = c.node(u);
+      const prof::CctNode& b = ref.cct->node(u);
+      EXPECT_TRUE(a.kind == b.kind && a.parent == b.parent &&
+                  a.scope == b.scope && a.call_site == b.call_site &&
+                  a.children == b.children)
+          << "round " << round << " node " << u;
+      EXPECT_EQ(std::memcmp(&c.samples(u), &ref.cct->samples(u),
+                            sizeof(model::EventVector)),
+                0)
+          << "round " << round << " samples of node " << u;
+    }
+
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      ASSERT_EQ(e.member_map(k), ref.maps[k]) << "round " << round;
+      std::vector<bool> hit(c.size(), false);
+      for (const prof::CctNodeId u : ref.maps[k]) {
+        merged += hit[u] ? 1 : 0;
+        hit[u] = true;
+      }
+      for (prof::CctNodeId u = 0; u < c.size(); ++u)
+        EXPECT_EQ(e.present(u, k), hit[u])
+            << "round " << round << " member " << k << " node " << u;
+    }
+  }
+  EXPECT_GT(merged, 0u) << "no member held two nodes with one union key";
 }
 
 TEST(Ensemble, QueryRunsOverEnsembleColumns) {

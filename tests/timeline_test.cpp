@@ -30,7 +30,10 @@ prof::CctNodeId frame_named(const prof::CanonicalCct& cct,
 class TimelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/pathview_timeline_test";
+    // Unique per test: ctest runs these cases as parallel processes, and a
+    // shared scratch directory would be remove_all'd under a sibling's feet.
+    dir_ = std::string("/tmp/pathview_timeline_test_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
     w_ = workloads::make_workload("paper", 1, 42);

@@ -23,7 +23,10 @@ using sim::TraceEvent;
 class TraceDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/pathview_trace_test";
+    // Unique per test: ctest runs these cases as parallel processes, and a
+    // shared scratch directory would be remove_all'd under a sibling's feet.
+    dir_ = std::string("/tmp/pathview_trace_test_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

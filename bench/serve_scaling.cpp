@@ -281,7 +281,7 @@ int main(int argc, char** argv) {
     // budget must hold as entries stream through (shards=1 so the whole
     // budget is one LRU).
     const std::size_t entry_bytes =
-        serve::estimate_experiment_bytes(exp);
+        serve::estimate_experiment_bytes(exp, /*with_attribution=*/true);
     serve::Server::Options opts;
     opts.threads = 1;
     opts.sessions.cache.byte_budget = 3 * entry_bytes + entry_bytes / 2;

@@ -1,7 +1,5 @@
 #include "pathview/core/cct_view.hpp"
 
-#include <algorithm>
-
 #include "pathview/obs/obs.hpp"
 
 namespace pathview::core {
@@ -43,14 +41,10 @@ CctView::CctView(const prof::CanonicalCct& cct,
     vn.children_built = true;
     add_node(std::move(vn));
   }
-  // Copy the attribution's metric columns verbatim — one contiguous
-  // buffer-to-buffer copy per column (rows were materialized above, so the
-  // destination buffers are already full-size).
-  for (metrics::ColumnId c = 0; c < attr.table.num_columns(); ++c) {
-    const metrics::ColumnId vc = table().add_column(attr.table.desc(c));
-    const std::span<const double> src = attr.table.column(c);
-    std::copy(src.begin(), src.end(), table().column_mut(vc).begin());
-  }
+  // Share the attribution's metric columns (same ids, same rows): the view
+  // holds handles to the attribution's buffers, not copies of them.
+  for (metrics::ColumnId c = 0; c < attr.table.num_columns(); ++c)
+    table().add_column(attr.table, c);
 }
 
 }  // namespace pathview::core

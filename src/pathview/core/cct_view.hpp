@@ -8,8 +8,8 @@ namespace pathview::core {
 
 class CctView final : public View {
  public:
-  /// `attr` must have been computed over `cct`; its inclusive/exclusive
-  /// columns are copied into the view's table (same column order/ids).
+  /// `attr` must have been computed over `cct`; the view's table shares
+  /// its columns (same column order/ids, no copy).
   CctView(const prof::CanonicalCct& cct, const metrics::Attribution& attr);
 
   /// The underlying CCT node of a view node (identity mapping).

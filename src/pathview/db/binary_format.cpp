@@ -282,7 +282,15 @@ void read_metrics_block(Reader& r, Experiment& exp) {
     d.name = r.str();
     d.kind = metrics::MetricKind::kDerived;
     d.formula = r.str();
-    exp.add_user_metric(std::move(d));
+    const std::size_t at = r.pos() - d.formula.size();
+    // A stored formula that does not parse is a corrupt file, not a bad
+    // argument: report it where the formula text starts.
+    try {
+      exp.add_user_metric(std::move(d));
+    } catch (const InvalidArgument& e) {
+      throw ParseError(std::string("binary db: bad user metric: ") + e.what(),
+                       at);
+    }
   }
 }
 

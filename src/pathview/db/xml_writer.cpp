@@ -177,7 +177,13 @@ Experiment from_xml(std::string_view xml) {
       md.name = d.attr("n");
       md.kind = metrics::MetricKind::kDerived;
       md.formula = d.attr("f");
-      exp.add_user_metric(std::move(md));
+      // A stored formula that does not parse is a corrupt file.
+      try {
+        exp.add_user_metric(std::move(md));
+      } catch (const InvalidArgument& e) {
+        throw ParseError(std::string("xml: bad user metric: ") + e.what(),
+                         d.offset);
+      }
     }
   }
   return exp;

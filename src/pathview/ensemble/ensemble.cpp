@@ -45,6 +45,83 @@ struct TreeKeyHash {
   }
 };
 
+constexpr std::size_t kStats = 7;
+
+/// One (event, flavor) block of an ensemble's table: N run columns, then
+/// mean, min, max, stddev, delta, ratio and regressed. Each member's column
+/// is attributed on the member's own CCT, in parallel, and scattered through
+/// its node map with `+=` (distinct member nodes may legally merge into one
+/// supergraph node). Every cell sees the same operations in the same order
+/// for any worker count, so the block is bit-identical to a serial build.
+std::vector<std::vector<double>> build_block(const Ensemble::Sources& src,
+                                             model::Event e, bool incl,
+                                             std::size_t rows, std::size_t B,
+                                             double thr) {
+  PV_SPAN("ensemble.columns.block");
+  PV_COUNTER_ADD("ensemble.blocks_generated", 1);
+  const std::size_t N = src.members.size();
+  std::vector<std::vector<double>> cols(N + kStats);
+  support::parallel_for(N, [&](std::size_t k) {
+    const prof::CanonicalCct& mc = src.members[k]->cct();
+    std::vector<double> member(mc.size(), 0.0);
+    double* const dst_member = member.data();
+    metrics::attribute_events(mc, {&e, 1}, incl, {&dst_member, 1});
+    const std::vector<CctNodeId>& map = src.maps[k];
+    std::vector<double> dst(rows, 0.0);
+    for (std::size_t i = 0; i < member.size(); ++i)
+      if (member[i] != 0.0) dst[map[i]] += member[i];
+    cols[k] = std::move(dst);
+  });
+
+  for (std::size_t s = N; s < cols.size(); ++s) cols[s].resize(rows);
+  const std::span<const std::vector<double>> runs(cols.data(), N);
+  double* dmean = cols[N].data();
+  double* dmin = cols[N + 1].data();
+  double* dmax = cols[N + 2].data();
+  double* dstd = cols[N + 3].data();
+  double* ddelta = cols[N + 4].data();
+  double* dratio = cols[N + 5].data();
+  double* dregr = cols[N + 6].data();
+  // Statistics are per row, so row chunks may run in any order.
+  constexpr std::size_t kChunk = std::size_t{1} << 15;
+  support::parallel_for((rows + kChunk - 1) / kChunk, [&](std::size_t c) {
+    const std::size_t lo = c * kChunk;
+    const std::size_t hi = std::min(rows, lo + kChunk);
+    for (std::size_t r = lo; r < hi; ++r) {
+      double sum = 0.0;
+      double mn = std::numeric_limits<double>::infinity();
+      double mx = -std::numeric_limits<double>::infinity();
+      for (std::size_t k = 0; k < N; ++k) {
+        const double v = runs[k][r];
+        sum += v;
+        mn = std::min(mn, v);
+        mx = std::max(mx, v);
+      }
+      const double mean = sum / static_cast<double>(N);
+      double var = 0.0;
+      for (std::size_t k = 0; k < N; ++k) {
+        const double d = runs[k][r] - mean;
+        var += d * d;
+      }
+      var /= static_cast<double>(N);
+      const double base = runs[B][r];
+      const double others =
+          N > 1 ? (sum - base) / static_cast<double>(N - 1) : base;
+      dmean[r] = mean;
+      dmin[r] = mn;
+      dmax[r] = mx;
+      dstd[r] = std::sqrt(var);
+      ddelta[r] = others - base;
+      dratio[r] = base != 0.0 ? others / base : (others == 0.0 ? 1.0 : 0.0);
+      dregr[r] = ((base > 0.0 && others - base > thr * base) ||
+                  (base == 0.0 && others > 0.0))
+                     ? 1.0
+                     : 0.0;
+    }
+  });
+  return cols;
+}
+
 }  // namespace
 
 std::string run_column(std::string_view base, std::size_t member) {
@@ -89,15 +166,18 @@ Ensemble Ensemble::align(
                            metrics::all_events().end());
   Ensemble out;
   out.opts_ = std::move(resolved);
-  out.align_structure(members, paths);
-  out.build_columns(members);
+  out.src_ = std::make_shared<Sources>();
+  out.src_->members = members;
+  out.align_structure(paths);
+  out.build_columns();
   return out;
 }
 
-void Ensemble::align_structure(
-    const std::vector<std::shared_ptr<const db::Experiment>>& members,
-    const std::vector<std::string>& paths) {
+void Ensemble::align_structure(const std::vector<std::string>& paths) {
   PV_SPAN("ensemble.align.union");
+  const std::vector<std::shared_ptr<const db::Experiment>>& members =
+      src_->members;
+  std::vector<std::vector<CctNodeId>>& maps = src_->maps;
   const std::size_t N = members.size();
 
   // --- Phase 1: union structure tree (insertion order) ----------------------
@@ -225,9 +305,9 @@ void Ensemble::align_structure(
   // earlier one precede those of a later one in the member's preorder.
   cct_ = std::make_unique<prof::CanonicalCct>(&ctree);
   prof::CanonicalCct& ccct = *cct_;
-  maps_.resize(N);
+  maps.resize(N);
   for (std::size_t k = 0; k < N; ++k)
-    maps_[k].assign(members[k]->cct().size(), prof::kCctNull);
+    maps[k].assign(members[k]->cct().size(), prof::kCctNull);
   {
     struct Contributor {
       std::uint32_t member;
@@ -277,7 +357,7 @@ void Ensemble::align_structure(
         const Contributor c = pool[i];
         const prof::CanonicalCct& mc = members[c.member]->cct();
         ccct.add_samples(id, mc.samples(c.node));
-        maps_[c.member][c.node] = id;
+        maps[c.member][c.node] = id;
         for (const CctNodeId ch : mc.node(c.node).children) {
           const prof::CctNode& n = mc.node(ch);
           kids.push_back(
@@ -310,7 +390,7 @@ void Ensemble::align_structure(
   words_ = (N + 63) / 64;
   presence_.assign(ccct.size() * words_, 0);
   for (std::size_t k = 0; k < N; ++k)
-    for (const CctNodeId u : maps_[k])
+    for (const CctNodeId u : maps[k])
       presence_[u * words_ + k / 64] |= std::uint64_t{1} << (k % 64);
 
   bool degraded = false;
@@ -330,10 +410,9 @@ void Ensemble::align_structure(
   ccct.set_degraded(degraded);
 }
 
-void Ensemble::build_columns(
-    const std::vector<std::shared_ptr<const db::Experiment>>& members) {
+void Ensemble::build_columns() {
   PV_SPAN("ensemble.align.columns");
-  const std::size_t N = members.size();
+  const std::size_t N = src_->members.size();
   const std::vector<model::Event>& events = opts_.events;
 
   // --- Phase 5: ensemble metric table ---------------------------------------
@@ -345,7 +424,6 @@ void Ensemble::build_columns(
   metrics::MetricTable& table = attr_.table;
   const std::size_t rows = cct_->size();
 
-  table.ensure_rows(rows);
   std::vector<double> presence(rows);
   for (std::size_t r = 0; r < rows; ++r)
     presence[r] =
@@ -354,18 +432,8 @@ void Ensemble::build_columns(
                     model::Event::kCycles, true, {}},
                    std::move(presence));
 
-  // One block per (event, incl/excl): N run columns, then 7 statistics.
-  // Blocks are built off-table by independent tasks — each member's task
-  // owns that member's run buffers, each block's task owns that block's
-  // statistic buffers — and moved into the table afterwards in this order.
-  // Every cell sees the same operations in the same order as a serial
-  // build, so the table is bit-identical for any worker count.
-  struct Block {
-    model::Event e;
-    bool incl;
-    std::vector<std::vector<double>> runs;  // [member][row]
-    std::vector<std::vector<double>> stats;  // [stat_cols order][row]
-  };
+  // One block per (event, incl/excl): N run columns, then 7 statistics,
+  // all filled by one generator on the first read of any of them.
   const double thr = opts_.regress_threshold;
   const std::size_t B = opts_.baseline;
   const std::string bref = "run" + std::to_string(B);
@@ -373,7 +441,7 @@ void Ensemble::build_columns(
     std::string_view stat;
     metrics::MetricKind kind;
     std::string formula;
-  } stat_cols[] = {
+  } stat_cols[kStats] = {
       {"mean", metrics::MetricKind::kSummary, {}},
       {"min", metrics::MetricKind::kSummary, {}},
       {"max", metrics::MetricKind::kSummary, {}},
@@ -384,84 +452,23 @@ void Ensemble::build_columns(
        "mean(non-baseline runs) / " + bref},
       {"regressed", metrics::MetricKind::kDerived,
        "delta > " + std::to_string(thr) + " * " + bref}};
-  std::vector<Block> blocks;
-  for (const model::Event e : events)
-    for (const bool incl : {true, false})
-      blocks.push_back({e, incl, std::vector<std::vector<double>>(N), {}});
-
-  // Per member: attribute its own CCT, then scatter through its node map.
-  // `+=`, not `=`: distinct member nodes may legally merge into one
-  // supergraph node.
-  support::parallel_for(N, [&](std::size_t k) {
-    const metrics::Attribution ak =
-        metrics::attribute_metrics(members[k]->cct(), events);
-    const std::vector<CctNodeId>& map = maps_[k];
-    for (Block& b : blocks) {
-      const std::span<const double> src = ak.table.column(
-          b.incl ? ak.cols.inclusive(b.e) : ak.cols.exclusive(b.e));
-      std::vector<double> dst(rows, 0.0);
-      for (std::size_t i = 0; i < src.size(); ++i)
-        if (src[i] != 0.0) dst[map[i]] += src[i];
-      b.runs[k] = std::move(dst);
+  for (const model::Event e : events) {
+    for (const bool incl : {true, false}) {
+      auto gen = std::make_shared<metrics::ColumnGenerator>(
+          [src = std::shared_ptr<const Sources>(src_), e, incl, rows, B, thr] {
+            return build_block(*src, e, incl, rows, B, thr);
+          });
+      const std::string base =
+          std::string(model::event_name(e)) + (incl ? " (I)" : " (E)");
+      for (std::size_t k = 0; k < N; ++k)
+        table.add_column(
+            {run_column(base, k), metrics::MetricKind::kRaw, e, incl, {}}, gen,
+            k);
+      for (std::size_t s = 0; s < kStats; ++s)
+        table.add_column({stat_column(base, stat_cols[s].stat),
+                          stat_cols[s].kind, e, incl, stat_cols[s].formula},
+                         gen, N + s);
     }
-  });
-
-  support::parallel_for(blocks.size(), [&](std::size_t j) {
-    const std::vector<std::vector<double>>& runs = blocks[j].runs;
-    std::vector<std::vector<double>> stats(std::size(stat_cols),
-                                           std::vector<double>(rows));
-    std::vector<double>& dmean = stats[0];
-    std::vector<double>& dmin = stats[1];
-    std::vector<double>& dmax = stats[2];
-    std::vector<double>& dstd = stats[3];
-    std::vector<double>& ddelta = stats[4];
-    std::vector<double>& dratio = stats[5];
-    std::vector<double>& dregr = stats[6];
-    for (std::size_t r = 0; r < rows; ++r) {
-      double sum = 0.0;
-      double mn = std::numeric_limits<double>::infinity();
-      double mx = -std::numeric_limits<double>::infinity();
-      for (std::size_t k = 0; k < N; ++k) {
-        const double v = runs[k][r];
-        sum += v;
-        mn = std::min(mn, v);
-        mx = std::max(mx, v);
-      }
-      const double mean = sum / static_cast<double>(N);
-      double var = 0.0;
-      for (std::size_t k = 0; k < N; ++k) {
-        const double d = runs[k][r] - mean;
-        var += d * d;
-      }
-      var /= static_cast<double>(N);
-      const double base = runs[B][r];
-      const double others =
-          N > 1 ? (sum - base) / static_cast<double>(N - 1) : base;
-      dmean[r] = mean;
-      dmin[r] = mn;
-      dmax[r] = mx;
-      dstd[r] = std::sqrt(var);
-      ddelta[r] = others - base;
-      dratio[r] = base != 0.0 ? others / base : (others == 0.0 ? 1.0 : 0.0);
-      dregr[r] = ((base > 0.0 && others - base > thr * base) ||
-                  (base == 0.0 && others > 0.0))
-                     ? 1.0
-                     : 0.0;
-    }
-    blocks[j].stats = std::move(stats);
-  });
-
-  for (Block& b : blocks) {
-    const std::string base =
-        std::string(model::event_name(b.e)) + (b.incl ? " (I)" : " (E)");
-    for (std::size_t k = 0; k < N; ++k)
-      table.add_column(
-          {run_column(base, k), metrics::MetricKind::kRaw, b.e, b.incl, {}},
-          std::move(b.runs[k]));
-    for (std::size_t s = 0; s < std::size(stat_cols); ++s)
-      table.add_column({stat_column(base, stat_cols[s].stat), stat_cols[s].kind,
-                        b.e, b.incl, stat_cols[s].formula},
-                       std::move(b.stats[s]));
   }
 }
 

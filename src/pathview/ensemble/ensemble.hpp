@@ -80,9 +80,9 @@ inline constexpr std::string_view kPresenceColumn = "presence";
 
 class Ensemble {
  public:
-  /// Align `members` into a supergraph and materialize the ensemble metric
-  /// table. `paths`, when given, must parallel `members` and fills
-  /// MemberInfo::path. Throws InvalidArgument on an empty member list, a
+  /// Align `members` into a supergraph and set up the ensemble metric
+  /// table (see build_columns). `paths`, when given, must parallel
+  /// `members` and fills MemberInfo::path. Throws InvalidArgument on an empty member list, a
   /// null member, an out-of-range baseline or a negative threshold.
   static Ensemble align(
       const std::vector<std::shared_ptr<const db::Experiment>>& members,
@@ -113,27 +113,32 @@ class Ensemble {
 
   /// member k's CCT node id -> supergraph node id.
   const std::vector<prof::CctNodeId>& member_map(std::size_t k) const {
-    return maps_[k];
+    return src_->maps[k];
   }
+
+  /// What the ensemble's column generators read. An ensemble keeps its
+  /// members alive for as long as any table shares one of its blocks.
+  struct Sources {
+    std::vector<std::shared_ptr<const db::Experiment>> members;
+    std::vector<std::vector<prof::CctNodeId>> maps;
+  };
 
  private:
   Ensemble() = default;
 
   /// The union structure tree, the supergraph CCT with its summed samples,
   /// the member maps, presence bitmaps and member infos.
-  void align_structure(
-      const std::vector<std::shared_ptr<const db::Experiment>>& members,
-      const std::vector<std::string>& paths);
-  /// The ensemble metric table over the aligned structure.
-  void build_columns(
-      const std::vector<std::shared_ptr<const db::Experiment>>& members);
+  void align_structure(const std::vector<std::string>& paths);
+  /// The ensemble metric table over the aligned structure: the plain
+  /// columns and `presence` now, each (event, flavor) block on first read.
+  void build_columns();
 
   std::unique_ptr<structure::StructureTree> tree_;
   std::unique_ptr<prof::CanonicalCct> cct_;
   metrics::Attribution attr_;
   EnsembleOptions opts_;
   std::vector<MemberInfo> members_;
-  std::vector<std::vector<prof::CctNodeId>> maps_;
+  std::shared_ptr<Sources> src_;
   // Presence bitmaps: words_ 64-bit words per supergraph node, bit k set
   // when member k contains the node.
   std::vector<std::uint64_t> presence_;

@@ -42,6 +42,17 @@ struct Attribution {
 Attribution attribute_metrics(const prof::CanonicalCct& cct,
                               std::span<const model::Event> events);
 
+/// The inclusive or exclusive column of each event in `events` over `cct`:
+/// dst[i] receives events[i]'s column (cct.size() values, zero on entry).
+/// attribute_metrics fills every column with it, and each ensemble block
+/// calls it for one event on every member, so both share one arithmetic:
+/// the inclusive sweep in reverse id order of
+/// CanonicalCct::inclusive_samples, and the Eq. 1 credits in id order. A
+/// cell's value does not depend on which other events share the call.
+void attribute_events(const prof::CanonicalCct& cct,
+                      std::span<const model::Event> events, bool inclusive,
+                      std::span<double* const> dst);
+
 /// All six simulated events.
 std::span<const model::Event> all_events();
 

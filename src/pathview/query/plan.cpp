@@ -151,7 +151,10 @@ void emit_program(const Expr& e, const MetricTable& table,
       in.imm = e.number;
       break;
     case ExprOp::kMetric:
+      // Resolved to the column's values once, here: the per-row loop reads
+      // them directly (this first read also generates a lazy column).
       in.col = resolve_column(table, e.metric, e.offset);
+      in.values = table.column(in.col).data();
       break;
     case ExprOp::kTotal:  // folded away before emission
       in.op = ExprOp::kNumber;
@@ -164,8 +167,7 @@ void emit_program(const Expr& e, const MetricTable& table,
 
 /// Run a postfix program for one row. `stack` is caller-owned scratch so the
 /// per-row loop does not allocate.
-double eval_program(const std::vector<Plan::Instr>& prog,
-                    const MetricTable& table, RowId row,
+double eval_program(const std::vector<Plan::Instr>& prog, RowId row,
                     std::vector<double>& stack) {
   stack.clear();
   for (const Plan::Instr& in : prog) {
@@ -174,7 +176,7 @@ double eval_program(const std::vector<Plan::Instr>& prog,
         stack.push_back(in.imm);
         break;
       case ExprOp::kMetric:
-        stack.push_back(table.get(in.col, row));
+        stack.push_back(in.values[row]);
         break;
       case ExprOp::kNeg:
         stack.back() = -stack.back();
@@ -256,7 +258,7 @@ Plan compile(Query q, const CanonicalCct& cct, const MetricTable& table) {
       p.scan_cmp_ = prog.back().op;
       p.scan_col_ = prog[0].col;
       const std::vector<Plan::Instr> rhs(prog.begin() + 1, prog.end() - 1);
-      p.scan_bound_ = eval_program(rhs, table, 0, scratch);
+      p.scan_bound_ = eval_program(rhs, 0, scratch);
     } else if (n >= 2 && prog[n - 2].op == ExprOp::kMetric &&
                const_range(0, n - 2)) {
       // const cmp metric — flip so the metric is on the left
@@ -264,7 +266,7 @@ Plan compile(Query q, const CanonicalCct& cct, const MetricTable& table) {
       p.scan_cmp_ = flip_cmp(prog.back().op);
       p.scan_col_ = prog[n - 2].col;
       const std::vector<Plan::Instr> lhs(prog.begin(), prog.end() - 2);
-      p.scan_bound_ = eval_program(lhs, table, 0, scratch);
+      p.scan_bound_ = eval_program(lhs, 0, scratch);
     }
   }
 
@@ -469,7 +471,7 @@ QueryResult Plan::execute() const {
         return;
       }
       ++stats.rows_scanned;
-      if (eval_program(program_, *table_, r, scratch) != 0.0)
+      if (eval_program(program_, r, scratch) != 0.0)
         matched.push_back(r);
     };
     if (pattern_.empty()) {

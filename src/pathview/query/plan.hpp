@@ -1,6 +1,7 @@
 // Compiling and executing queries against a concrete CCT + MetricTable.
 //
-// compile() resolves every metric reference to a ColumnId, folds `total`
+// compile() resolves every metric reference to a ColumnId and the
+// predicate's references to their columns' values, folds `total`
 // into a constant (the root-row value of the comparison's anchor metric),
 // flattens the predicate tree into a postfix program, and picks an
 // execution strategy:
@@ -81,6 +82,7 @@ class Plan {
     ExprOp op = ExprOp::kNumber;
     double imm = 0.0;           // kNumber / folded kTotal
     metrics::ColumnId col = 0;  // kMetric
+    const double* values = nullptr;  // kMetric: column `col`'s values
   };
 
  private:

@@ -6,7 +6,8 @@
 
 namespace pathview::serve {
 
-std::size_t estimate_experiment_bytes(const db::Experiment& exp) {
+std::size_t estimate_experiment_bytes(const db::Experiment& exp,
+                                      bool with_attribution) {
   const prof::CanonicalCct& cct = exp.cct();
   const structure::StructureTree& tree = exp.tree();
   std::size_t b = sizeof(db::Experiment) + exp.name().size();
@@ -24,6 +25,11 @@ std::size_t estimate_experiment_bytes(const db::Experiment& exp) {
     b += tree.names().str(n).size() + sizeof(std::string) + 16;
   for (const metrics::MetricDesc& d : exp.user_metrics())
     b += sizeof(metrics::MetricDesc) + d.name.size() + d.formula.size();
+  if (with_attribution)
+    b += sizeof(metrics::Attribution) +
+         2 * model::kNumEvents *
+             (cct.size() * sizeof(double) + sizeof(metrics::ColumnBuffer) +
+              sizeof(metrics::MetricDesc) + 64);
   return b;
 }
 
@@ -85,15 +91,13 @@ void ExperimentCache::evict_to_fit(Shard& s, std::size_t budget) {
   }
 }
 
-std::shared_ptr<const db::Experiment> ExperimentCache::get(
-    const std::string& path) {
-  Shard& s = shard_for(path);
-  std::lock_guard<std::mutex> lock(s.mu);
+ExperimentCache::Entry& ExperimentCache::front_entry(Shard& s,
+                                                    const std::string& path) {
   if (auto it = s.index.find(path); it != s.index.end()) {
     s.lru.splice(s.lru.begin(), s.lru, it->second);
     ++s.hits;
     PV_COUNTER_ADD("serve.cache.hit", 1);
-    return s.lru.front().exp;
+    return s.lru.front();
   }
   // Load under the shard lock: concurrent opens of the same database wait
   // for one load instead of duplicating it; other shards stay available.
@@ -103,14 +107,42 @@ std::shared_ptr<const db::Experiment> ExperimentCache::get(
   e.path = path;
   e.exp = load(path);
   e.bytes = estimate_experiment_bytes(*e.exp);
-  s.bytes += e.bytes;
-  resident_bytes_.fetch_add(e.bytes, std::memory_order_relaxed);
   s.lru.push_front(std::move(e));
   s.index.emplace(path, s.lru.begin());
+  charge(s, s.lru.front().bytes);
+  return s.lru.front();
+}
+
+void ExperimentCache::charge(Shard& s, std::size_t delta) {
+  s.bytes += delta;
+  resident_bytes_.fetch_add(delta, std::memory_order_relaxed);
+  // The front entry is never evicted, so the caller's entry survives.
   evict_to_fit(s, shard_budget_.load(std::memory_order_relaxed));
   PV_COUNTER_SET("serve.cache.bytes",
                  resident_bytes_.load(std::memory_order_relaxed));
-  return s.lru.front().exp;
+}
+
+std::shared_ptr<const db::Experiment> ExperimentCache::get(
+    const std::string& path) {
+  Shard& s = shard_for(path);
+  std::lock_guard<std::mutex> lock(s.mu);
+  return front_entry(s, path).exp;
+}
+
+AttributedExperiment ExperimentCache::get_attributed(const std::string& path) {
+  Shard& s = shard_for(path);
+  std::lock_guard<std::mutex> lock(s.mu);
+  Entry& e = front_entry(s, path);
+  if (!e.attr) {
+    e.attr = std::make_shared<const metrics::Attribution>(
+        metrics::attribute_metrics(e.exp->cct(), metrics::all_events()));
+    const std::size_t bytes =
+        estimate_experiment_bytes(*e.exp, /*with_attribution=*/true);
+    const std::size_t delta = bytes - e.bytes;
+    e.bytes = bytes;
+    charge(s, delta);
+  }
+  return {e.exp, e.attr};
 }
 
 ExperimentCache::Stats ExperimentCache::stats() const {

@@ -2,7 +2,10 @@
 //
 // Many sessions opening the same database must share ONE immutable
 // in-memory Experiment (the views built on top are per-session; the CCT and
-// structure tree they read are const and safe to share across threads). The
+// structure tree they read are const and safe to share across threads), and
+// ONE base metric attribution over it, built on the first session open and
+// counted in the entry's bytes from then on (ensemble members never need
+// it, so loading alone does not build it). The
 // cache is sharded by path hash so concurrent opens of different databases
 // do not serialize on one lock, and each shard enforces its slice of a
 // global byte budget with LRU eviction.
@@ -23,11 +26,21 @@
 #include <vector>
 
 #include "pathview/db/experiment.hpp"
+#include "pathview/metrics/attribution.hpp"
 
 namespace pathview::serve {
 
-/// Deterministic size estimate of an experiment's resident footprint.
-std::size_t estimate_experiment_bytes(const db::Experiment& exp);
+/// Deterministic size estimate of an experiment's resident footprint; with
+/// `with_attribution`, plus its base attribution's columns (inclusive and
+/// exclusive for every event, one value per CCT node each).
+std::size_t estimate_experiment_bytes(const db::Experiment& exp,
+                                      bool with_attribution = false);
+
+/// A cached experiment with its shared base attribution.
+struct AttributedExperiment {
+  std::shared_ptr<const db::Experiment> exp;
+  std::shared_ptr<const metrics::Attribution> attr;
+};
 
 class ExperimentCache {
  public:
@@ -52,6 +65,10 @@ class ExperimentCache {
   /// Throws the loader's typed error on unreadable/corrupt databases.
   std::shared_ptr<const db::Experiment> get(const std::string& path);
 
+  /// Same, plus the entry's base attribution over every event, built on the
+  /// first call for the entry (under its shard lock, so once).
+  AttributedExperiment get_attributed(const std::string& path);
+
   Stats stats() const;
   std::size_t byte_budget() const {
     return budget_.load(std::memory_order_relaxed);
@@ -69,6 +86,7 @@ class ExperimentCache {
   struct Entry {
     std::string path;
     std::shared_ptr<const db::Experiment> exp;
+    std::shared_ptr<const metrics::Attribution> attr;  // null until asked for
     std::size_t bytes = 0;
   };
   struct Shard {
@@ -80,6 +98,11 @@ class ExperimentCache {
   };
 
   Shard& shard_for(const std::string& path);
+  /// The entry for `path`, loaded on a miss and moved to the front of `s`
+  /// (whose lock the caller holds).
+  Entry& front_entry(Shard& s, const std::string& path);
+  /// Charge `delta` more bytes to `s`, then evict to fit.
+  void charge(Shard& s, std::size_t delta);
   /// Evict from the back of `s` until it fits `budget` (never evicts the
   /// front entry, so one over-budget experiment still caches).
   void evict_to_fit(Shard& s, std::size_t budget);

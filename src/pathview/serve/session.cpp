@@ -92,13 +92,14 @@ const char* view_wire_name(core::ViewType view) {
 // Session.
 // ---------------------------------------------------------------------------
 
-Session::Session(std::string sid, std::string path,
-                 std::shared_ptr<const db::Experiment> exp,
+Session::Session(std::string sid, std::string path, AttributedExperiment exp,
                  core::ViewType view)
     : sid_(std::move(sid)),
       path_(std::move(path)),
-      exp_(std::move(exp)),
-      attr_(metrics::attribute_metrics(exp_->cct(), metrics::all_events())) {
+      exp_(std::move(exp.exp)),
+      // Shares the cached base attribution's columns; derived columns this
+      // session adds are its own.
+      attr_(*exp.attr) {
   viewer_ = std::make_unique<ui::ViewerController>(exp_->cct(), attr_);
   viewer_->select_view(view);
   // Stored derived metrics become columns of this session's tables, exactly
@@ -112,9 +113,9 @@ Session::Session(std::string sid,
                  core::ViewType view)
     : sid_(std::move(sid)),
       ens_(std::move(ens)),
-      // Copy-on-write: the shared supergraph stays immutable; only the
-      // attribution table (which `metrics.derive` may extend per session)
-      // is copied.
+      // The supergraph and every ensemble column are shared; the table copy
+      // holds handles, to which `metrics.derive` adds this session's own
+      // columns.
       attr_(ens_->attribution()) {
   viewer_ = std::make_unique<ui::ViewerController>(ens_->cct(), attr_);
   viewer_->select_view(view);
@@ -435,9 +436,9 @@ JsonValue SessionManager::do_open(const Request& req) {
   const core::ViewType view =
       view_name.empty() ? opts_.default_view : parse_view_name(view_name);
 
-  std::shared_ptr<const db::Experiment> exp;
+  AttributedExperiment exp;
   try {
-    exp = cache_.get(path);
+    exp = cache_.get_attributed(path);
   } catch (const Error& e) {
     throw ServeError(ErrorKind::kNotFound,
                      "cannot load \"" + path + "\": " + e.what());
@@ -747,9 +748,9 @@ JsonValue SessionManager::do_resume_session(const Request& req) {
     if (path.empty())
       throw ServeError(ErrorKind::kNotFound,
                        "journal for \"" + token + "\" names no experiment");
-    std::shared_ptr<const db::Experiment> exp;
+    AttributedExperiment exp;
     try {
-      exp = cache_.get(path);
+      exp = cache_.get_attributed(path);
     } catch (const Error& e) {
       throw ServeError(ErrorKind::kNotFound,
                        "cannot reload \"" + path + "\": " + e.what());

@@ -1,9 +1,9 @@
 // Session-scoped lazy view cursors, and the request handlers over them.
 //
 // A Session is the server-side analog of one hpcviewer window: it pins a
-// shared immutable Experiment, owns the metric attribution and the three
-// lazily-built views (via ui::ViewerController), and tracks expansion +
-// sort state. Every navigation request does work proportional to the rows
+// shared immutable Experiment and its shared base attribution, owns its
+// derived columns and the three lazily-built views (via
+// ui::ViewerController), and tracks expansion + sort state. Every navigation request does work proportional to the rows
 // it returns — `expand` materializes exactly the children of one node,
 // never the whole CCT — which is the paper's scalability principle moved
 // behind the network boundary.
@@ -32,12 +32,14 @@ namespace pathview::serve {
 
 class Session {
  public:
-  Session(std::string sid, std::string path,
-          std::shared_ptr<const db::Experiment> exp, core::ViewType view);
+  /// Experiment-backed session: shares the cached experiment and its base
+  /// attribution's columns.
+  Session(std::string sid, std::string path, AttributedExperiment exp,
+          core::ViewType view);
 
-  /// Ensemble-backed session: shares the immutable aligned supergraph
-  /// (copy-on-write — the session copies only the attribution table it may
-  /// extend with derived metrics; tree, CCT and presence stay shared).
+  /// Ensemble-backed session: shares the immutable aligned supergraph and
+  /// every column of its table (the session's table copy holds handles; only
+  /// derived metrics the session adds are its own).
   Session(std::string sid, std::shared_ptr<const ensemble::Ensemble> ens,
           core::ViewType view);
 

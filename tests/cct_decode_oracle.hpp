@@ -142,7 +142,13 @@ inline Experiment reference_from_binary_v1(std::string_view bytes,
     d.name = r.str();
     d.kind = metrics::MetricKind::kDerived;
     d.formula = r.str();
-    exp.add_user_metric(std::move(d));
+    const std::size_t at = r.pos() - d.formula.size();
+    try {
+      exp.add_user_metric(std::move(d));
+    } catch (const InvalidArgument& e) {
+      throw ParseError(std::string("binary db: bad user metric: ") + e.what(),
+                       at);
+    }
   }
   if (!r.at_end()) r.fail("trailing bytes");
   return exp;

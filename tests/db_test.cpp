@@ -274,6 +274,40 @@ TEST(XmlDb, RejectsDuplicateCctRecord) {
                ParseError);
 }
 
+TEST(XmlDb, MalformedStoredUserMetricIsAParseError) {
+  // "$0 * 4 - $2" -> "$0 * 4 - *2": the file is well formed, the formula
+  // is not. The error names the <D> element that holds it.
+  std::string xml = to_xml(paper_experiment());
+  const std::size_t f = xml.find("$0 * 4 - $2");
+  ASSERT_NE(f, std::string::npos);
+  xml[f + 9] = '*';
+  const std::size_t d = xml.rfind("<D ", f);
+  ASSERT_NE(d, std::string::npos);
+  try {
+    from_xml(xml);
+    FAIL() << "malformed user metric formula accepted";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.offset(), d) << e.what();
+    EXPECT_NE(std::string(e.what()).find("formula error"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BinaryDb, MalformedStoredUserMetricIsAParseError) {
+  // PVDB1 has no checksums, so the broken formula reaches the metric reader,
+  // which reports it where the formula text starts.
+  std::string bytes = to_binary(paper_experiment(), BinaryVersion::kV1);
+  const std::size_t f = bytes.find("$0 * 4 - $2");
+  ASSERT_NE(f, std::string::npos);
+  bytes[f + 9] = '*';
+  try {
+    from_binary(bytes);
+    FAIL() << "malformed user metric formula accepted";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.offset(), f) << e.what();
+  }
+}
+
 TEST(XmlDb, RejectsOutOfRangeParentAndSampleNode) {
   const std::string xml = to_xml(paper_experiment());
   const auto replace_first = [&xml](const std::string& from,
@@ -440,17 +474,14 @@ TEST(BinaryDb, MutatedV1BytesDecodeOrThrowParseError) {
                     varint(v));
       }
     }
-    // The outcome: decoded, or the error class. A user metric whose formula
-    // the mutation broke is rejected by Experiment::add_user_metric with
-    // InvalidArgument in both decoders; every other failure is a ParseError.
+    // The outcome: decoded, or a ParseError (a user metric whose formula
+    // the mutation broke included); any other exception fails the test.
     const auto run = [&bad](auto decode, std::optional<Experiment>& out) {
       try {
         out.emplace(decode(bad));
         return std::string("decoded");
       } catch (const ParseError& e) {
         return std::string("ParseError");
-      } catch (const InvalidArgument& e) {
-        return std::string("InvalidArgument: ") + e.what();
       }
     };
     std::optional<Experiment> got;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -11,12 +12,16 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pathview/ensemble/ensemble.hpp"
 #include "pathview/ensemble/inputs.hpp"
+#include "pathview/metrics/derived.hpp"
 #include "pathview/model/builder.hpp"
+#include "pathview/obs/obs.hpp"
 #include "pathview/prof/correlate.hpp"
+#include "pathview/prof/pipeline.hpp"
 #include "pathview/query/plan.hpp"
 #include "pathview/query/query.hpp"
 #include "pathview/sim/engine.hpp"
@@ -25,6 +30,8 @@
 #include "pathview/support/error.hpp"
 #include "pathview/support/prng.hpp"
 #include "pathview/workloads/random_program.hpp"
+#include "pathview/workloads/registry.hpp"
+#include "ensemble_columns_oracle.hpp"
 #include "ensemble_union_oracle.hpp"
 
 namespace pathview::ensemble {
@@ -471,6 +478,129 @@ TEST(EnsembleUnionOracle, OnePassUnionMatchesHashUnionAndRebuild) {
     }
   }
   EXPECT_GT(merged, 0u) << "no member held two nodes with one union key";
+}
+
+/// A two-rank run of a bundled workload. combustion, mesh and subsurface
+/// sample with a jittered period, so their sample values are not integers
+/// and any change in summation order shows in the bits.
+std::shared_ptr<const db::Experiment> workload_member(const std::string& name,
+                                                      std::uint64_t seed) {
+  const workloads::Workload w = workloads::make_workload(name, 2, seed);
+  const prof::CanonicalCct cct =
+      prof::Pipeline().run(workloads::profile_workload(w, 2, 1), *w.tree);
+  return std::make_shared<db::Experiment>(db::Experiment::capture(
+      *w.tree, cct, name + std::to_string(seed), 2));
+}
+
+bool same_bits(std::span<const double> a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), b.size() * sizeof(double)) == 0;
+}
+
+TEST(EnsembleColumnsOracle, LazyBlocksMatchEagerBuild) {
+  // Every cell of every column, generated on first read in a random column
+  // order by one reader or by four concurrent readers, must carry the bits
+  // of the eager attribute-then-scatter build. The third set's members hold
+  // distinct nodes that merge into one supergraph node.
+  std::vector<std::vector<std::shared_ptr<const db::Experiment>>> sets = {
+      {workload_member("combustion", 3), workload_member("mesh", 4),
+       workload_member("combustion", 5), workload_member("mesh", 6)},
+      seeded_members(),
+      {}};
+  for (std::uint64_t k = 0; k < 4; ++k)
+    sets.back().push_back(colliding_member(700 + k % 2, 7000 + k));
+  std::uint64_t seed = 1;
+  for (const auto& members : sets) {
+    for (const unsigned readers : {1u, 4u}) {
+      EnsembleOptions opts;
+      opts.baseline = 1;
+      const Ensemble e = Ensemble::align(members, opts);
+      const std::vector<std::vector<double>> want =
+          oracle::eager_columns(e, members);
+      const metrics::MetricTable& t = e.attribution().table;
+      ASSERT_EQ(t.num_columns(), want.size());
+      std::atomic<std::size_t> mismatches{0};
+      std::vector<std::thread> threads;
+      for (unsigned r = 0; r < readers; ++r) {
+        threads.emplace_back([&, order_seed = seed++] {
+          std::vector<metrics::ColumnId> order(t.num_columns());
+          for (metrics::ColumnId c = 0; c < order.size(); ++c) order[c] = c;
+          Prng rng(order_seed);
+          for (std::size_t i = order.size(); i > 1; --i)
+            std::swap(order[i - 1], order[rng.next_below(i)]);
+          for (const metrics::ColumnId c : order)
+            if (!same_bits(t.column(c), want[c]))
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+        });
+      }
+      for (std::thread& th : threads) th.join();
+      EXPECT_EQ(mismatches.load(), 0u) << readers << " reader(s)";
+    }
+  }
+}
+
+TEST(EnsembleColumns, EightFirstReadersGenerateEachBlockOnce) {
+  const auto members = seeded_members();
+  const Ensemble e = Ensemble::align(members);
+  const metrics::MetricTable& t = e.attribution().table;
+  const std::size_t blocks = 2 * e.options().events.size();
+  // Plain columns and presence are filled; every ensemble column waits.
+  std::size_t waiting = 0;
+  for (metrics::ColumnId c = 0; c < t.num_columns(); ++c)
+    waiting += t.buffer(c).generated() ? 0 : 1;
+  EXPECT_EQ(waiting, blocks * (members.size() + 7));
+
+  obs::reset();
+  obs::set_enabled(true);
+  std::vector<std::vector<double>> seen(8);
+  std::vector<std::thread> threads;
+  for (std::size_t r = 0; r < seen.size(); ++r)
+    threads.emplace_back([&, r] {
+      // Each thread starts at a different column, so first reads collide.
+      const std::size_t n = t.num_columns();
+      for (std::size_t i = 0; i < n; ++i) {
+        const metrics::ColumnId c =
+            static_cast<metrics::ColumnId>((i + r * n / 8) % n);
+        for (const double v : t.column(c)) seen[r].push_back(v);
+      }
+    });
+  for (std::thread& th : threads) th.join();
+  obs::set_enabled(false);
+  EXPECT_EQ(obs::counter("ensemble.blocks_generated").value(), blocks);
+  for (std::size_t r = 1; r < seen.size(); ++r) {
+    // Same cells, rotated by the thread's starting column.
+    std::vector<double> a = seen[0], b = seen[r];
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    EXPECT_TRUE(same_bits(b, a)) << "thread " << r;
+  }
+  for (metrics::ColumnId c = 0; c < t.num_columns(); ++c)
+    EXPECT_TRUE(t.buffer(c).generated());
+}
+
+TEST(EnsembleColumns, CopiedTableSharesImmutableBuffers) {
+  const Ensemble e = Ensemble::align(seeded_members());
+  const metrics::MetricTable& base = e.attribution().table;
+  metrics::MetricTable copy = base;
+  const metrics::ColumnId plain = *base.find("PAPI_TOT_CYC (I)");
+  const metrics::ColumnId run = *base.find("PAPI_TOT_CYC (I) run0");
+  // A generated column read through the copy is the base's buffer too.
+  EXPECT_EQ(copy.column(run).data(), base.column(run).data());
+  EXPECT_EQ(copy.column(plain).data(), base.column(plain).data());
+  for (const metrics::ColumnId c : {plain, run}) {
+    EXPECT_FALSE(copy.is_writable(c));
+    EXPECT_THROW(copy.set(c, 0, 1.0), InvalidArgument);
+    EXPECT_THROW(copy.add(c, 0, 1.0), InvalidArgument);
+    EXPECT_THROW(copy.column_mut(c), InvalidArgument);
+  }
+  EXPECT_THROW(copy.ensure_rows(copy.num_rows() + 1), InvalidArgument);
+  // A derived column is the copy's own, and the base does not see it.
+  const std::size_t before = base.num_columns();
+  const metrics::ColumnId d = metrics::add_derived_metric(
+      copy, "twice", "$" + std::to_string(plain) + " * 2");
+  EXPECT_TRUE(copy.is_writable(d));
+  EXPECT_EQ(base.num_columns(), before);
+  EXPECT_EQ(copy.get(d, 0), 2 * base.get(plain, 0));
 }
 
 TEST(Ensemble, QueryRunsOverEnsembleColumns) {

@@ -202,6 +202,68 @@ TEST(MetricTable, ColumnSpansAreContiguousAndWritable) {
   EXPECT_DOUBLE_EQ(t.column_sum(c), 6.0);
 }
 
+TEST(MetricTable, CopiesShareColumnsAndFreezeThem) {
+  MetricTable t;
+  t.ensure_rows(3);
+  const ColumnId c = t.add_column(
+      MetricDesc{"c", MetricKind::kRaw, Event::kCycles, true, {}});
+  t.set(c, 1, 2.0);
+  {
+    const MetricTable copy = t;
+    EXPECT_EQ(copy.column(c).data(), t.column(c).data());
+    // While shared, neither side may write, not even the creator.
+    EXPECT_FALSE(copy.is_writable(c));
+    EXPECT_FALSE(t.is_writable(c));
+    EXPECT_THROW(t.set(c, 0, 1.0), InvalidArgument);
+    EXPECT_THROW(t.ensure_rows(4), InvalidArgument);
+    EXPECT_EQ(t.num_rows(), 3u);
+    t.ensure_rows(2);  // no growth, no write
+  }
+  // The creator alone holds it again.
+  EXPECT_TRUE(t.is_writable(c));
+  t.add(c, 1, 1.0);
+  EXPECT_EQ(t.get(c, 1), 3.0);
+
+  // A column shared into another table is never that table's to write.
+  MetricTable view;
+  view.ensure_rows(3);
+  const ColumnId v = view.add_column(t, c);
+  EXPECT_EQ(view.column(v).data(), t.column(c).data());
+  EXPECT_EQ(view.desc(v).name, "c");
+  EXPECT_THROW(view.column_mut(v), InvalidArgument);
+  MetricTable short_table;
+  EXPECT_THROW(short_table.add_column(t, c), InvalidArgument);
+}
+
+TEST(MetricTable, GeneratedColumnsFillOnceOnFirstRead) {
+  int runs = 0;
+  auto gen = std::make_shared<ColumnGenerator>([&runs] {
+    ++runs;
+    return std::vector<std::vector<double>>{{1.0, 2.0}, {3.0, 4.0}};
+  });
+  MetricTable t;
+  t.ensure_rows(2);
+  const ColumnId a = t.add_column(
+      MetricDesc{"a", MetricKind::kRaw, Event::kCycles, true, {}}, gen, 0);
+  const ColumnId b = t.add_column(
+      MetricDesc{"b", MetricKind::kRaw, Event::kCycles, true, {}}, gen, 1);
+  EXPECT_FALSE(t.buffer(a).generated());
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(t.get(b, 1), 4.0);
+  EXPECT_EQ(t.get(a, 0), 1.0);
+  EXPECT_EQ(runs, 1);
+  EXPECT_TRUE(t.buffer(a).generated());
+  EXPECT_FALSE(t.is_writable(a));
+  EXPECT_THROW(t.set(a, 0, 0.0), InvalidArgument);
+
+  // A block whose columns do not match the row count is refused on read.
+  auto bad = std::make_shared<ColumnGenerator>(
+      [] { return std::vector<std::vector<double>>{{1.0}}; });
+  const ColumnId c = t.add_column(
+      MetricDesc{"c", MetricKind::kRaw, Event::kCycles, true, {}}, bad, 0);
+  EXPECT_THROW(t.column(c), InvalidArgument);
+}
+
 TEST(MetricTable, DegradedBitRoundTripsThroughAttribution) {
   workloads::PaperExample ex;
   prof::CanonicalCct cct = prof::correlate(ex.profile(), ex.tree());

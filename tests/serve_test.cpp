@@ -306,6 +306,41 @@ TEST(ServeCache, EvictionRacesConcurrentOpensOfTheSamePath) {
   for (const std::string& p : paths) std::remove(p.c_str());
 }
 
+TEST(ServeCache, BaseAttributionIsBuiltOnceAndCounted) {
+  // Loading alone (an ensemble member) charges the experiment; the first
+  // session-style fetch builds the shared base attribution once and charges
+  // its columns too, so serve.cache.bytes does not under-report.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("serve_cache_attr_" + std::to_string(::getpid()) + ".xml"))
+          .string();
+  workloads::PaperExample ex;
+  const prof::CanonicalCct cct = prof::correlate(ex.profile(), ex.tree());
+  db::save_xml(db::Experiment::capture(ex.tree(), cct, path, 1), path);
+
+  ExperimentCache cache;
+  const std::shared_ptr<const db::Experiment> exp = cache.get(path);
+  EXPECT_EQ(cache.stats().resident_bytes, estimate_experiment_bytes(*exp));
+
+  std::vector<AttributedExperiment> got(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] { got[t] = cache.get_attributed(path); });
+  for (std::thread& t : threads) t.join();
+  for (const AttributedExperiment& g : got) {
+    EXPECT_EQ(g.exp, exp);
+    ASSERT_NE(g.attr, nullptr);
+    EXPECT_EQ(g.attr, got[0].attr);  // one base attribution, shared
+  }
+  const std::size_t with_attr =
+      estimate_experiment_bytes(*exp, /*with_attribution=*/true);
+  EXPECT_EQ(cache.stats().resident_bytes, with_attr);
+  EXPECT_GE(with_attr - estimate_experiment_bytes(*exp),
+            got[0].attr->table.num_columns() * cct.size() * sizeof(double));
+  EXPECT_EQ(got[0].attr->table.num_columns(), 2 * model::kNumEvents);
+  std::remove(path.c_str());
+}
+
 /// Minimal scripted daemon for client-retry tests: accepts one connection
 /// and answers each request from a canned reply list (then echoes ok:true).
 class ScriptedServer {
@@ -851,6 +886,71 @@ TEST(ServeEnsemble, OpenEnsembleRoundTrip) {
   close.body = JsonValue::object();
   close.body.set("session", JsonValue::string(sid));
   EXPECT_TRUE(mgr.handle(close).get_bool("ok", false));
+}
+
+Request derive_request(int id, const std::string& sid, const std::string& name,
+                       const std::string& formula) {
+  Request req;
+  req.id = id;
+  req.op = Op::kMetrics;
+  req.body = JsonValue::object();
+  req.body.set("session", JsonValue::string(sid));
+  if (!name.empty()) {
+    JsonValue derive = JsonValue::object();
+    derive.set("name", JsonValue::string(name));
+    derive.set("formula", JsonValue::string(formula));
+    req.body.set("derive", std::move(derive));
+  }
+  return req;
+}
+
+TEST(ServeSession, DeriveInOneSessionLeavesSiblingsAndTheBaseUnchanged) {
+  // Sessions share their base table's columns; a derived column is an
+  // overlay in the one session that asked for it.
+  TempEnsembleFiles files;
+  SessionManager mgr{SessionManager::Options{}};
+  const auto columns_of = [&mgr](const std::string& sid) {
+    const JsonValue r = mgr.handle(derive_request(9, sid, "", ""));
+    EXPECT_TRUE(r.get_bool("ok", false)) << r.dump();
+    const JsonValue* cols = r.find("columns");
+    return cols ? cols->dump() : std::string();
+  };
+  const auto query_ok = [&mgr](const std::string& sid) {
+    return mgr.handle(session_request(8, Op::kQuery, sid, "where twice > 0"))
+        .get_bool("ok", false);
+  };
+  const auto check_pair = [&](const std::string& first,
+                              const std::string& second,
+                              const std::string& later_sid_of_base) {
+    const std::string before = columns_of(second);
+    const JsonValue d =
+        mgr.handle(derive_request(7, first, "twice", "$0 * 2"));
+    ASSERT_TRUE(d.get_bool("ok", false)) << d.dump();
+    EXPECT_NE(columns_of(first), before);
+    EXPECT_EQ(columns_of(second), before);
+    EXPECT_TRUE(query_ok(first));
+    EXPECT_FALSE(query_ok(second));
+    // A session opened afterwards copies the base table: no "twice".
+    EXPECT_EQ(columns_of(later_sid_of_base), before);
+  };
+
+  const auto open_exp = [&] {
+    return mgr.handle(open_request(files.a())).get_string("session", "");
+  };
+  const std::shared_ptr<const metrics::Attribution> base =
+      mgr.cache().get_attributed(files.a()).attr;
+  const std::size_t base_cols = base->table.num_columns();
+  const std::string e1 = open_exp(), e2 = open_exp();
+  check_pair(e1, e2, open_exp());
+  EXPECT_EQ(base->table.num_columns(), base_cols);
+  EXPECT_EQ(mgr.cache().get_attributed(files.a()).attr, base);
+
+  const auto open_ens = [&] {
+    return mgr.handle(ensemble_request(1, files.a(), files.b(), 0))
+        .get_string("session", "");
+  };
+  const std::string n1 = open_ens(), n2 = open_ens();
+  check_pair(n1, n2, open_ens());
 }
 
 TEST(ServeEnsemble, RepliesAreByteDeterministicAcrossManagers) {

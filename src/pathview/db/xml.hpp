@@ -15,11 +15,12 @@ struct XmlNode {
   std::vector<XmlNode> children;
   std::size_t offset = 0;  // byte offset of the element's '<'
 
-  /// Attribute value; throws ParseError-style InvalidArgument when absent.
+  /// Attribute value; throws ParseError at `offset` when absent.
   const std::string& attr(std::string_view key) const;
   /// Attribute value or `fallback` when absent.
   std::string attr_or(std::string_view key, std::string fallback) const;
-  /// First child element with the given name; throws when absent.
+  /// First child element with the given name; throws ParseError at
+  /// `offset` when absent.
   const XmlNode& child(std::string_view name) const;
 };
 

@@ -9,8 +9,9 @@ namespace pathview::db {
 const std::string& XmlNode::attr(std::string_view key) const {
   for (const auto& [k, v] : attrs)
     if (k == key) return v;
-  throw InvalidArgument("xml: element <" + name + "> missing attribute '" +
-                        std::string(key) + "'");
+  throw ParseError("xml: element <" + name + "> missing attribute '" +
+                       std::string(key) + "'",
+                   offset);
 }
 
 std::string XmlNode::attr_or(std::string_view key, std::string fallback) const {
@@ -22,8 +23,9 @@ std::string XmlNode::attr_or(std::string_view key, std::string fallback) const {
 const XmlNode& XmlNode::child(std::string_view cname) const {
   for (const XmlNode& c : children)
     if (c.name == cname) return c;
-  throw InvalidArgument("xml: element <" + name + "> missing child <" +
-                        std::string(cname) + ">");
+  throw ParseError("xml: element <" + name + "> missing child <" +
+                       std::string(cname) + ">",
+                   offset);
 }
 
 std::string xml_escape(std::string_view s) {

@@ -12,19 +12,29 @@ namespace pathview::db {
 
 namespace {
 
-std::uint64_t to_u64(const std::string& s) {
+/// A structurally broken database is a ParseError at the element's '<'.
+[[noreturn]] void bad_element(const std::string& what, const XmlNode& n) {
+  throw ParseError("xml: " + what, n.offset);
+}
+
+std::uint64_t to_u64(const std::string& s, const XmlNode& n) {
   std::uint64_t v = 0;
   auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc() || p != s.data() + s.size())
-    throw InvalidArgument("xml: bad integer '" + s + "'");
+    bad_element("bad integer '" + s + "'", n);
   return v;
 }
 
-double to_f64(const std::string& s) {
+std::uint64_t u64_attr(const XmlNode& n, std::string_view key) {
+  return to_u64(n.attr(key), n);
+}
+
+double f64_attr(const XmlNode& n, std::string_view key) {
+  const std::string& s = n.attr(key);
   try {
     return std::stod(s);
   } catch (const std::exception&) {
-    throw InvalidArgument("xml: bad number '" + s + "'");
+    bad_element("bad number '" + s + "'", n);
   }
 }
 
@@ -106,13 +116,13 @@ Experiment from_xml(std::string_view xml) {
   PV_COUNTER_ADD("db.xml_bytes_read", xml.size());
   const XmlNode root = parse_xml(xml);
   if (root.name != "Experiment")
-    throw InvalidArgument("xml: root element is not <Experiment>");
+    bad_element("root element is not <Experiment>", root);
 
   auto tree = std::make_unique<structure::StructureTree>();
   for (const XmlNode& s : root.child("Structure").children) {
-    if (s.name != "S") throw InvalidArgument("xml: expected <S>");
-    const std::uint64_t kind = to_u64(s.attr("k"));
-    const std::uint64_t parent = to_u64(s.attr("p"));
+    if (s.name != "S") bad_element("expected <S>", s);
+    const std::uint64_t kind = u64_attr(s, "k");
+    const std::uint64_t parent = u64_attr(s, "p");
     if (kind > static_cast<std::uint64_t>(structure::SKind::kStmt))
       throw ParseError("xml: bad structure scope kind", s.offset);
     if (parent >= tree->size())
@@ -122,9 +132,9 @@ Experiment from_xml(std::string_view xml) {
     n.parent = static_cast<structure::SNodeId>(parent);
     n.name = tree->names().intern(s.attr("n"));
     n.file = tree->names().intern(s.attr("f"));
-    n.line = static_cast<int>(to_u64(s.attr("l")));
-    n.call_line = static_cast<int>(to_u64(s.attr("cl")));
-    n.entry = to_u64(s.attr("e"));
+    n.line = static_cast<int>(u64_attr(s, "l"));
+    n.call_line = static_cast<int>(u64_attr(s, "cl"));
+    n.entry = u64_attr(s, "e");
     n.has_source = s.attr("src") == "1";
     const structure::SNodeId id = tree->add_node(std::move(n));
     const structure::SNode& added = tree->node(id);
@@ -136,21 +146,21 @@ Experiment from_xml(std::string_view xml) {
   const std::vector<XmlNode>& records = root.child("CCT").children;
   detail::CctBuilder builder(tree.get(), records.size(), "xml");
   for (const XmlNode& c : records) {
-    if (c.name != "N") throw InvalidArgument("xml: expected <N>");
-    builder.add({to_u64(c.attr("k")), to_u64(c.attr("p")), to_u64(c.attr("s")),
-                 to_u64(c.attr("cs"))},
+    if (c.name != "N") bad_element("expected <N>", c);
+    builder.add({u64_attr(c, "k"), u64_attr(c, "p"), u64_attr(c, "s"),
+                 u64_attr(c, "cs")},
                 c.offset);
   }
   prof::CanonicalCct cct = builder.build();
 
   for (const XmlNode& v : root.child("Samples").children) {
-    if (v.name != "V") throw InvalidArgument("xml: expected <V>");
-    detail::add_sample_record(cct, to_u64(v.attr("n")), to_u64(v.attr("e")),
-                              to_f64(v.attr("x")), "xml", v.offset);
+    if (v.name != "V") bad_element("expected <V>", v);
+    detail::add_sample_record(cct, u64_attr(v, "n"), u64_attr(v, "e"),
+                              f64_attr(v, "x"), "xml", v.offset);
   }
 
   Experiment exp(std::move(tree), std::move(cct), root.attr("name"),
-                 static_cast<std::uint32_t>(to_u64(root.attr("nranks"))));
+                 static_cast<std::uint32_t>(u64_attr(root, "nranks")));
   if (root.attr_or("degraded", "0") == "1") exp.set_degraded(true);
   if (const std::string dropped = root.attr_or("dropped", "");
       !dropped.empty()) {
@@ -162,7 +172,7 @@ Experiment from_xml(std::string_view xml) {
           start, comma == std::string::npos ? std::string::npos
                                             : comma - start);
       if (!tok.empty())
-        ranks.push_back(static_cast<std::uint32_t>(to_u64(tok)));
+        ranks.push_back(static_cast<std::uint32_t>(to_u64(tok, root)));
       if (comma == std::string::npos) break;
       start = comma + 1;
     }
@@ -172,7 +182,7 @@ Experiment from_xml(std::string_view xml) {
   for (const XmlNode& child : root.children) {
     if (child.name != "Metrics") continue;
     for (const XmlNode& d : child.children) {
-      if (d.name != "D") throw InvalidArgument("xml: expected <D>");
+      if (d.name != "D") bad_element("expected <D>", d);
       metrics::MetricDesc md;
       md.name = d.attr("n");
       md.kind = metrics::MetricKind::kDerived;

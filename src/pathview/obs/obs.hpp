@@ -339,6 +339,10 @@ class FlightRecorder {
 /// code (e.g. the query engine recording its plan).
 void flight_note(std::string text);
 
+/// True while a flight recorder is armed on the calling thread: a note is
+/// worth building only then.
+inline bool flight_armed() { return detail::t_flight_armed; }
+
 // ---------------------------------------------------------------------------
 // Snapshots.
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "pathview/prof/cct.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "pathview/obs/obs.hpp"
@@ -47,23 +48,34 @@ CctNodeId CanonicalCct::find_or_add_child(CctNodeId parent, CctKind kind,
       {parent, static_cast<std::uint8_t>(kind), scope, call_site}, id,
       key_of());
   if (found != id) return found;
-  CctNode n;
-  n.kind = kind;
-  n.parent = parent;
-  n.scope = scope;
-  n.call_site = call_site;
-  nodes_.push_back(std::move(n));
-  samples_.emplace_back();
-  nodes_[parent].children.push_back(id);
+  push_node(parent, kind, scope, call_site);
   indexed_ = nodes_.size();
-  PV_COUNTER_ADD("prof.cct_nodes_allocated", 1);
   return id;
 }
 
 CctNodeId CanonicalCct::append_child(CctNodeId parent, CctKind kind,
                                      structure::SNodeId scope,
                                      structure::SNodeId call_site) {
+  return push_node(parent, kind, scope, call_site);
+}
+
+CctNodeId CanonicalCct::push_node(CctNodeId parent, CctKind kind,
+                                  structure::SNodeId scope,
+                                  structure::SNodeId call_site) {
   const auto id = static_cast<CctNodeId>(nodes_.size());
+  if (is_frame(kind)) {
+    // The nearest frame-like ancestor is already listed (parent < id), and
+    // the list is ascending, so a binary search finds its position.
+    CctNodeId up = parent;
+    while (up != kCctRoot && !is_frame(nodes_[up].kind)) up = nodes_[up].parent;
+    std::uint32_t pos = kNoFrame;
+    if (up != kCctRoot)
+      pos = static_cast<std::uint32_t>(
+          std::lower_bound(frames_.begin(), frames_.end(), up) -
+          frames_.begin());
+    frames_.push_back(id);
+    frame_parents_.push_back(pos);
+  }
   CctNode n;
   n.kind = kind;
   n.parent = parent;
@@ -116,6 +128,8 @@ std::vector<CctNodeId> CanonicalCct::merge(CanonicalCct&& other) {
       edges_.size() == 0) {
     nodes_ = std::move(other.nodes_);
     samples_ = std::move(other.samples_);
+    frames_ = std::move(other.frames_);
+    frame_parents_ = std::move(other.frame_parents_);
     edges_ = std::move(other.edges_);
     indexed_ = other.indexed_;
     degraded_ = degraded_ || other.degraded_;
@@ -131,6 +145,8 @@ CanonicalCct CanonicalCct::clone_with_tree(
   CanonicalCct out(tree);
   out.nodes_ = nodes_;
   out.samples_ = samples_;
+  out.frames_ = frames_;
+  out.frame_parents_ = frame_parents_;
   out.edges_ = edges_;
   out.indexed_ = indexed_;
   out.degraded_ = degraded_;

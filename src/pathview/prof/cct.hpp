@@ -14,6 +14,13 @@
 // power-of-two capacity. The key lives in the node itself, so the index
 // costs at most 8 / 0.375 ~ 21.3 bytes per node (about half that right after
 // a doubling), and nothing at all until the first keyed insert.
+//
+// The tree also keeps its frame list: the ids of its frame and inline nodes
+// in ascending order, each with the list position of its nearest frame-like
+// ancestor. Call-path patterns consume only those nodes (query::Plan), so
+// an unanchored pattern is matched over the list alone. The tree is
+// append-only and no node's kind or parent ever changes, so the list is
+// kept exact at append time and needs no invalidation.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +41,12 @@ enum class CctKind : std::uint8_t {
 };
 
 const char* cct_kind_name(CctKind k);
+
+/// True for the frame-like kinds, frames and inlined procedures: the nodes
+/// that contribute a segment to a node's call path.
+inline bool is_frame(CctKind k) {
+  return k == CctKind::kFrame || k == CctKind::kInline;
+}
 
 using CctNodeId = std::uint32_t;
 inline constexpr CctNodeId kCctRoot = 0;
@@ -96,6 +109,15 @@ class CanonicalCct {
     nodes_[id].children.reserve(n);
   }
 
+  /// Ids of the frame-like nodes (is_frame), ascending.
+  const std::vector<CctNodeId>& frames() const { return frames_; }
+  /// Parallel to frames(): the position in frames() of each frame's nearest
+  /// frame-like proper ancestor, or kNoFrame when it has none.
+  const std::vector<std::uint32_t>& frame_parents() const {
+    return frame_parents_;
+  }
+  static constexpr std::uint32_t kNoFrame = 0xffffffffu;
+
   /// Degraded-data marker: set when this tree was built from an incomplete
   /// measurement (missing/corrupt ranks, salvaged sample sections). Merges
   /// OR the flag — one degraded contribution taints the union — and
@@ -149,6 +171,9 @@ class CanonicalCct {
  private:
   /// Index the nodes append_child added since the last keyed insert.
   void ensure_edges();
+  /// Store a new child of `parent` and keep the frame list exact.
+  CctNodeId push_node(CctNodeId parent, CctKind kind, structure::SNodeId scope,
+                      structure::SNodeId call_site);
   /// The edge key of a stored node, as the sibling index reads it.
   auto key_of() const {
     return [this](CctNodeId id) { return detail::edge_key(nodes_[id]); };
@@ -157,6 +182,8 @@ class CanonicalCct {
   const structure::StructureTree* tree_;
   std::vector<CctNode> nodes_;
   std::vector<model::EventVector> samples_;
+  std::vector<CctNodeId> frames_;
+  std::vector<std::uint32_t> frame_parents_;
   bool degraded_ = false;
   detail::EdgeIndex edges_;
   // Nodes [1, indexed_) are in edges_ (the root is never indexed).

@@ -7,16 +7,18 @@
 //   **/psm2_recv             any path ending in psm2_recv
 //
 // A pattern compiles to a tiny NFA whose state set fits one 64-bit word
-// (state i = "the first i segments are matched"). A node's state set is
-// its parent's advanced by the node's frame name, so matching a whole CCT
-// carries state sets down the tree in one of two ways (query::Plan picks):
+// (state i = "the first i segments are matched"). A frame-like node's state
+// set is its parent's advanced by the node's frame name; any other node
+// passes its parent's on. Matching a whole CCT carries state sets down the
+// tree in one of two ways (query::Plan picks):
 //   * anchored patterns (segment 0 is not '**') walk a DFS from the root
 //     and prune a subtree as soon as its state set goes empty, which skips
 //     most of the tree;
 //   * unanchored patterns (segment 0 is '**') can never go empty, so they
-//     visit every node anyway and take one pass in node-id order instead,
-//     state[id] = advance(state[parent], name). That is exact because every
-//     CCT has parent < id, and it yields matches already in id order.
+//     take one pass over the CCT's frame list in id order instead:
+//     state[i] = advance(state of the nearest frame ancestor, or initial,
+//     name). It yields matches already in id order, and a pattern of '**'
+//     segments only matches every frame without running the NFA.
 // Recursive chains work naturally: 'a/**/a' needs two distinct frames
 // named a on the path.
 #pragma once

@@ -17,7 +17,6 @@ using metrics::ColumnId;
 using metrics::MetricTable;
 using metrics::RowId;
 using prof::CanonicalCct;
-using prof::CctKind;
 using prof::CctNodeId;
 
 bool is_cmp(ExprOp op) {
@@ -319,9 +318,6 @@ Plan compile(Query q, const CanonicalCct& cct, const MetricTable& table) {
 
 namespace {
 
-/// True for node kinds that contribute a segment to the call-path chain.
-bool is_frame(CctKind k) { return k == CctKind::kFrame || k == CctKind::kInline; }
-
 /// '/'-joined frame names root→node; a non-frame result node appends its own
 /// display label so rows stay distinguishable ("main/g/loop at file2.c: 8").
 std::string path_of(const CanonicalCct& cct, CctNodeId id) {
@@ -329,38 +325,18 @@ std::string path_of(const CanonicalCct& cct, CctNodeId id) {
   for (CctNodeId cur = id; cur != prof::kCctRoot && cur != prof::kCctNull;
        cur = cct.node(cur).parent) {
     const prof::CctNode& n = cct.node(cur);
-    if (is_frame(n.kind)) parts.push_back(cct.tree().name_of(n.scope));
+    if (prof::is_frame(n.kind)) parts.push_back(cct.tree().name_of(n.scope));
   }
   std::string out;
   for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
     if (!out.empty()) out += '/';
     out += *it;
   }
-  if (id != prof::kCctRoot && !is_frame(cct.node(id).kind)) {
+  if (id != prof::kCctRoot && !prof::is_frame(cct.node(id).kind)) {
     if (!out.empty()) out += '/';
     out += cct.label(id);
   }
   return out;
-}
-
-/// Matches of an unanchored pattern, in one pass in node-id order (parent
-/// < id): state[id] = advance(state[parent], name). Only frame-like nodes
-/// consume a segment, and only they can match. `Word` holds one node's
-/// state set.
-template <class Word>
-void match_in_id_order(const CanonicalCct& cct, const PatternMatcher& m,
-                       std::vector<CctNodeId>& out) {
-  std::vector<Word> state(cct.size());
-  for (CctNodeId id = 0; id < cct.size(); ++id) {
-    const prof::CctNode& n = cct.node(id);
-    PatternMatcher::StateSet s =
-        id == prof::kCctRoot ? m.initial() : state[n.parent];
-    if (is_frame(n.kind)) {
-      s = m.advance(s, cct.tree().name_of(n.scope));
-      if (m.accepting(s)) out.push_back(id);
-    }
-    state[id] = static_cast<Word>(s);
-  }
 }
 
 }  // namespace
@@ -368,21 +344,31 @@ void match_in_id_order(const CanonicalCct& cct, const PatternMatcher& m,
 std::vector<CctNodeId> Plan::match_candidates(QueryStats& stats) const {
   PV_SPAN("query.match");
   const PatternMatcher m(pattern_);
-  std::vector<CctNodeId> out;
   if (pattern_.unanchored()) {
-    // No subtree could be pruned, and the matches come out ascending with
-    // no sort. Up to 7 segments a node's state set fits one byte: on the
-    // browse benchmark (597k-node CCT, 3 clients, 4-vCPU VM) that cut the
-    // median round by 13% and peak RSS by 20 MB against a StateSet a node.
-    if (pattern_.segments.size() < 8)
-      match_in_id_order<std::uint8_t>(*cct_, m, out);
-    else
-      match_in_id_order<PatternMatcher::StateSet>(*cct_, m, out);
+    // No subtree could be pruned, so the pass runs over the CCT's frame
+    // list in id order: a non-frame node passes its parent's state set on
+    // unchanged, so a frame's state is its nearest frame ancestor's,
+    // advanced by its own name. Matches come out ascending with no sort.
     stats.nodes_visited += cct_->size();  // the start state never dies
+    const std::vector<CctNodeId>& frames = cct_->frames();
+    if (std::all_of(pattern_.segments.begin(), pattern_.segments.end(),
+                    [](const PathPattern::Segment& s) { return s.any_depth; }))
+      return frames;  // only '**' segments: every frame matches
+    const std::vector<std::uint32_t>& up = cct_->frame_parents();
+    std::vector<PatternMatcher::StateSet> state(frames.size());
+    std::vector<CctNodeId> out;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      const prof::CctNode& n = cct_->node(frames[i]);
+      state[i] = m.advance(
+          up[i] == CanonicalCct::kNoFrame ? m.initial() : state[up[i]],
+          cct_->tree().name_of(n.scope));
+      if (m.accepting(state[i])) out.push_back(frames[i]);
+    }
     return out;
   }
   // DFS carrying NFA state sets. A subtree is pruned the moment its state
   // set goes empty — for anchored patterns this skips most of the tree.
+  std::vector<CctNodeId> out;
   std::vector<std::pair<CctNodeId, PatternMatcher::StateSet>> stack;
   stack.emplace_back(prof::kCctRoot, m.initial());
   while (!stack.empty()) {
@@ -391,7 +377,7 @@ std::vector<CctNodeId> Plan::match_candidates(QueryStats& stats) const {
     ++stats.nodes_visited;
     PatternMatcher::StateSet s = state;
     const prof::CctNode& n = cct_->node(id);
-    if (is_frame(n.kind)) {
+    if (prof::is_frame(n.kind)) {
       s = m.advance(s, cct_->tree().name_of(n.scope));
       if (m.accepting(s)) out.push_back(id);
       if (!m.can_continue(s)) continue;

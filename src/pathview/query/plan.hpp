@@ -10,7 +10,8 @@
 //              when the pattern is empty — every row is a candidate). An
 //              anchored pattern walks a DFS that prunes subtrees whose
 //              state set goes empty; an unanchored one (leading '**') can
-//              prune nothing and takes one pass in node-id order instead;
+//              prune nothing and takes one id-order pass over the CCT's
+//              frame list instead (a '**'-only pattern is the list);
 //   filter     either MetricTable::scan over one contiguous column (the
 //              columnar fast path, taken when there is no pattern and the
 //              predicate is a single comparison of one metric against a
@@ -42,7 +43,8 @@ namespace pathview::query {
 
 struct QueryStats {
   std::uint64_t nodes_visited = 0;  // CCT nodes walked by the matcher
-                                    // (every node when unanchored)
+                                    // (counted as every node when
+                                    // unanchored)
   std::uint64_t rows_scanned = 0;   // rows the filter evaluated
   std::uint64_t rows_matched = 0;   // rows surviving match + filter
 };

@@ -984,7 +984,7 @@ JsonValue SessionManager::op_query(Session& s, const Request& req,
       query::compile(query::parse(text), s.cct(), s.attr_.table);
   // If a slow-request flight recorder is armed on this thread, attach the
   // compiled plan so the eventual log line explains what actually ran.
-  obs::flight_note(plan.explain());
+  if (obs::flight_armed()) obs::flight_note(plan.explain());
   JsonValue resp = ok_response(req.id);
   resp.set("query", JsonValue::string(plan.text()));
   if (explain_only) {

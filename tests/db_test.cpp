@@ -505,6 +505,95 @@ TEST(BinaryDb, MutatedV1BytesDecodeOrThrowParseError) {
   EXPECT_GT(rejected, 100u);
 }
 
+TEST(XmlDb, MutatedBytesDecodeOrThrowParseError) {
+  // A structurally broken document (a missing or renamed attribute, a
+  // stray element, a bad number) is a corrupt file, like a broken byte
+  // stream: a ParseError that points at the element, never another error.
+  Experiment exp = random_experiment(84, 3);
+  exp.add_user_metric(metrics::MetricDesc{
+      "WASTE", metrics::MetricKind::kDerived, model::Event::kCycles, true,
+      "$0 * 4 - $2"});
+  const std::string base = to_xml(exp);
+  // Where each attribute name and element name starts.
+  std::vector<std::size_t> attrs;
+  std::vector<std::size_t> elems;
+  for (std::size_t at = base.find('<'); at != std::string::npos;
+       at = base.find('<', at + 1))
+    if (base.compare(at, 2, "</") != 0 && base.compare(at, 2, "<?") != 0)
+      elems.push_back(at + 1);
+  for (std::size_t at = base.find("=\""); at != std::string::npos;
+       at = base.find("=\"", at + 1)) {
+    std::size_t name = at;
+    while (base[name - 1] != ' ') --name;
+    attrs.push_back(name);
+  }
+  ASSERT_GT(attrs.size(), 100u);
+  Prng rng(0xc0de);
+  const char* const names[] = {"k", "p", "s", "cs", "n", "e", "x", "f",
+                               "l", "cl", "src", "name", "nranks", "zz"};
+  const char* const tags[] = {"S", "N", "V", "D", "E", "Metrics", "CCT"};
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 2400; ++i) {
+    std::string bad = base;
+    switch (rng.next_below(4)) {
+      case 0:  // one to three bit flips
+        for (std::uint64_t f = 1 + rng.next_below(3); f > 0; --f)
+          bad[rng.next_below(bad.size())] ^=
+              static_cast<char>(1u << rng.next_below(8));
+        break;
+      case 1:  // truncation
+        bad.resize(rng.next_below(bad.size()));
+        break;
+      case 2: {  // rename an attribute, to another valid one or not
+        const std::size_t at = attrs[rng.next_below(attrs.size())];
+        bad.replace(at, bad.find('=', at) - at,
+                    names[rng.next_below(std::size(names))]);
+        break;
+      }
+      default: {  // rename an element
+        const std::size_t at = elems[rng.next_below(elems.size())];
+        std::size_t end = at;
+        while (bad[end] != ' ' && bad[end] != '>' && bad[end] != '/') ++end;
+        bad.replace(at, end - at, tags[rng.next_below(std::size(tags))]);
+        break;
+      }
+    }
+    try {
+      (void)from_xml(bad);
+      ++decoded;
+    } catch (const ParseError& e) {
+      ++rejected;
+      ASSERT_LE(e.offset(), bad.size()) << "case " << i << ": " << e.what();
+    } catch (const std::exception& e) {
+      FAIL() << "case " << i << ": not a ParseError: " << e.what();
+    }
+  }
+  EXPECT_GT(decoded, 100u);
+  EXPECT_GT(rejected, 1000u);
+}
+
+TEST(XmlDb, StructuralErrorsCarryTheElementOffset) {
+  // The two cases that used to fail as InvalidArgument with no offset.
+  const std::string xml = to_xml(paper_experiment());
+  const std::size_t n = xml.find("<N k=");
+  ASSERT_NE(n, std::string::npos);
+  std::string renamed = xml;
+  renamed[n + 3] = 'q';  // <N q="..."
+  std::string stray = xml;
+  const std::size_t d = stray.find("<D ");
+  ASSERT_NE(d, std::string::npos);
+  stray[d + 1] = 'E';  // an <E> inside <Metrics>
+  for (const auto& [text, at] : {std::pair{renamed, n}, std::pair{stray, d}}) {
+    try {
+      from_xml(text);
+      FAIL() << "broken document accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.offset(), at) << e.what();
+    }
+  }
+}
+
 TEST(BinaryDb, FooterSectionCountIsBoundedByTheFooter) {
   // A sealed footer whose section count is below the file size but far
   // above what its own bytes can hold: the load must fail without reserving

@@ -8,6 +8,8 @@
 
 #include "pathview/support/error.hpp"
 
+#include "pathview/db/experiment.hpp"
+#include "pathview/ensemble/ensemble.hpp"
 #include "pathview/prof/correlate.hpp"
 #include "pathview/prof/pipeline.hpp"
 #include "pathview/prof/summarize.hpp"
@@ -377,6 +379,86 @@ TEST(CorrelateOracle, CompactsUnsampledFrameChains) {
     kept_frames += got.node(id).kind == CctKind::kFrame;
   EXPECT_LT(kept_frames + 1, raw.nodes().size());
   EXPECT_DOUBLE_EQ(got.totals()[Event::kCycles], raw.totals()[Event::kCycles]);
+}
+
+// --- the frame list against a scan of node kinds ---------------------------
+
+/// Frame-like node ids in id order, and for each the position of its nearest
+/// frame-like proper ancestor, found by walking parents over the whole tree.
+/// Returns how many of the frames are inline ones.
+std::size_t expect_frame_list(const CanonicalCct& cct, const std::string& what) {
+  std::vector<CctNodeId> frames;
+  std::vector<std::uint32_t> parents;
+  std::vector<std::uint32_t> pos(cct.size(), CanonicalCct::kNoFrame);
+  std::size_t inlines = 0;
+  for (CctNodeId id = 1; id < cct.size(); ++id) {
+    const CctKind k = cct.node(id).kind;
+    if (k != CctKind::kFrame && k != CctKind::kInline) continue;
+    inlines += k == CctKind::kInline;
+    CctNodeId up = cct.node(id).parent;
+    while (up != kCctRoot && pos[up] == CanonicalCct::kNoFrame)
+      up = cct.node(up).parent;
+    pos[id] = static_cast<std::uint32_t>(frames.size());
+    frames.push_back(id);
+    parents.push_back(pos[up]);
+  }
+  EXPECT_FALSE(frames.empty()) << what;
+  EXPECT_EQ(cct.frames(), frames) << what;
+  EXPECT_EQ(cct.frame_parents(), parents) << what;
+  return inlines;
+}
+
+TEST(Cct, FrameListMatchesKindScan) {
+  std::size_t inlines = 0;
+  for (const std::uint64_t seed : {3u, 21u}) {
+    const std::string tag = "seed " + std::to_string(seed) + ": ";
+    workloads::Workload w = workloads::make_random_program({.seed = seed});
+    sim::ParallelConfig pc;
+    pc.nranks = 4;
+    pc.base = w.run;
+    const auto raws = sim::run_parallel(*w.program, *w.lowering, pc);
+
+    // The find_or_add_child fold: correlation, then merging copies.
+    std::vector<CanonicalCct> parts = Pipeline().correlate(raws, *w.tree);
+    for (const CanonicalCct& part : parts)
+      inlines += expect_frame_list(part, tag + "correlate");
+    const CanonicalCct serial = merge_serial(parts);
+    expect_frame_list(serial, tag + "merge_serial");
+    for (const std::uint32_t threads : {1u, 4u}) {
+      PipelineOptions opts;
+      opts.nthreads = threads;
+      expect_frame_list(Pipeline(std::move(opts)).run(raws, *w.tree),
+                        tag + "run, threads " + std::to_string(threads));
+    }
+
+    // Moving a part into an empty tree steals its list.
+    CanonicalCct stolen(w.tree.get());
+    stolen.merge(std::move(parts[1]));
+    expect_frame_list(stolen, tag + "merge(&&)");
+
+    const auto a = std::make_shared<const db::Experiment>(
+        db::Experiment::capture(*w.tree, serial, "frames", pc.nranks));
+    const db::Experiment& exp = *a;
+    expect_frame_list(exp.cct().clone_with_tree(&exp.tree()),
+                      tag + "clone_with_tree");
+    expect_frame_list(
+        db::from_binary(db::to_binary(exp, db::BinaryVersion::kV1)).cct(),
+        tag + "PVDB1");
+    expect_frame_list(db::from_binary(db::to_binary(exp)).cct(),
+                      tag + "PVDB2");
+    expect_frame_list(db::from_xml(db::to_xml(exp)).cct(), tag + "XML");
+
+    // The ensemble supergraph over two different programs.
+    workloads::Workload other =
+        workloads::make_random_program({.seed = seed + 100});
+    sim::ExecutionEngine eng(*other.program, *other.lowering, other.run);
+    const auto b = std::make_shared<const db::Experiment>(
+        db::Experiment::capture(*other.tree, correlate(eng.run(), *other.tree),
+                                "other", 1));
+    expect_frame_list(ensemble::Ensemble::align({a, b}).cct(),
+                      tag + "ensemble");
+  }
+  EXPECT_GT(inlines, 0u);  // inline frames are listed too
 }
 
 TEST(Summarize, StatsCoverAllRanks) {

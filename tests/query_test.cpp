@@ -2,7 +2,8 @@
 // diagnostics), call-path pattern matching (recursion, '**'), predicate
 // compilation (total folding, the columnar fast path), and deterministic
 // ordering of results — plus oracle checks of the two match strategies
-// (id-order pass vs pruning DFS) and of top-k selection vs a full sort.
+// (frame-list pass vs pruning DFS vs the pass over every node) and of top-k
+// selection vs a full sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -469,6 +470,27 @@ std::pair<std::vector<prof::CctNodeId>, std::uint64_t> dfs_match(
   return {out, visited};
 }
 
+/// The unanchored pass over every node, as it ran before the CCT kept a
+/// frame list: state[id] = advance(state[parent], name) for frame-like
+/// nodes, the parent's state unchanged for the rest.
+std::vector<prof::CctNodeId> all_node_match(const prof::CanonicalCct& cct,
+                                            const PathPattern& p) {
+  const PatternMatcher m(p);
+  std::vector<prof::CctNodeId> out;
+  std::vector<PatternMatcher::StateSet> state(cct.size());
+  for (prof::CctNodeId id = 0; id < cct.size(); ++id) {
+    const prof::CctNode& n = cct.node(id);
+    PatternMatcher::StateSet s =
+        id == prof::kCctRoot ? m.initial() : state[n.parent];
+    if (frame_like(n.kind)) {
+      s = m.advance(s, cct.tree().name_of(n.scope));
+      if (m.accepting(s)) out.push_back(id);
+    }
+    state[id] = s;
+  }
+  return out;
+}
+
 /// A random program's CCT with every event attributed and a derived
 /// column that is NaN on part of the rows.
 struct RandomPlanFixture {
@@ -521,8 +543,7 @@ std::vector<std::string> patterns_for(const prof::CanonicalCct& cct) {
           main + "/*",
           main + "/**/" + recursive,
           "*/**",
-          // Long unanchored patterns: 7 and 8 segments sit on either side
-          // of a one-byte state set; the rest need up to 37 bits.
+          // Long unanchored patterns, of 7 and 8 segments and up to 37.
           "**/*/**/*/**/*/" + some,
           "**/*/**/*/**/*/**/" + some,
           "**/*/**/*/**/*/**/*/**/" + some,
@@ -557,6 +578,46 @@ TEST(QueryStrategies, IdOrderPassMatchesTheDfs) {
           << plan.explain();
     }
   }
+}
+
+TEST(QueryStrategies, FramePassMatchesAllNodePass) {
+  std::size_t inline_frames = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 6u}) {
+    const RandomPlanFixture f(seed);
+    for (const prof::CctNodeId id : f.cct.frames())
+      inline_frames += f.cct.node(id).kind == prof::CctKind::kInline;
+    const std::span<const double> excl =
+        f.attr.table.column(f.attr.cols.exclusive(Event::kCycles));
+    for (const std::string& pattern : patterns_for(f.cct)) {
+      const PathPattern p = parse_pattern(pattern);
+      if (!p.unanchored()) continue;  // anchored ones walk the DFS
+      const std::vector<prof::CctNodeId> all = all_node_match(f.cct, p);
+      const auto expect = [&](const std::string& text,
+                              const std::vector<prof::CctNodeId>& rows,
+                              std::uint64_t scanned) {
+        const QueryResult got = query::run(text, f.cct, f.attr.table);
+        EXPECT_EQ(nodes_of(got), rows) << text;
+        EXPECT_EQ(got.stats.nodes_visited, f.cct.size()) << text;
+        EXPECT_EQ(got.stats.rows_scanned, scanned) << text;
+        EXPECT_EQ(got.stats.rows_matched,
+                  scanned > 0 ? rows.size() : all.size())
+            << text;
+      };
+      const std::string match = "match '" + pattern + "'";
+      expect(match, all, 0);
+      std::vector<prof::CctNodeId> busy;
+      for (const prof::CctNodeId id : all)
+        if (excl[id] > 0) busy.push_back(id);
+      expect(match + " where cycles.excl > 0", busy, all.size());
+      std::vector<prof::CctNodeId> top = all;
+      std::stable_sort(top.begin(), top.end(), [&](auto a, auto b) {
+        return metrics::sorts_before(excl[a], excl[b], true);
+      });
+      if (top.size() > 20) top.resize(20);
+      expect(match + " order by cycles.excl desc limit 20", top, 0);
+    }
+  }
+  EXPECT_GT(inline_frames, 0u);  // the list holds inline frames too
 }
 
 TEST(QueryStrategies, TopKEqualsFullStableSortThenTruncate) {

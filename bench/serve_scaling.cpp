@@ -97,17 +97,28 @@ int main(int argc, char** argv) {
 
   // --- phase 0: the telemetry hot path is nearly free ----------------------
   // Every request does one histogram add + two counter adds; the whole
-  // budget for that is 50 ns. Measured over 2^20 adds on a warm histogram.
+  // budget for that is 50 ns. Each sample times 2^20 adds on a warm
+  // histogram; the gate judges the median of 7 samples, so one sample
+  // slowed by a neighbour on a shared host does not decide it.
   {
     obs::Histogram& h = obs::histogram("bench.histogram.add");
     for (std::uint64_t i = 0; i < 10000; ++i) h.add(i);  // warm up
     constexpr std::uint64_t kAdds = 1u << 20;
-    const Clock::time_point t0 = Clock::now();
-    for (std::uint64_t i = 0; i < kAdds; ++i) h.add(i & 0xffff);
-    const double ns_per_add =
-        seconds_since(t0) * 1e9 / static_cast<double>(kAdds);
-    rep.info("histogram add [ns]", ns_per_add);
-    rep.gate_max("histogram hot path <= 50 ns/add", ns_per_add, 50.0);
+    constexpr int kSamples = 7;
+    std::vector<double> ns_per_add;
+    for (int s = 0; s < kSamples; ++s) {
+      const Clock::time_point t0 = Clock::now();
+      for (std::uint64_t i = 0; i < kAdds; ++i) h.add(i & 0xffff);
+      ns_per_add.push_back(seconds_since(t0) * 1e9 /
+                           static_cast<double>(kAdds));
+    }
+    std::sort(ns_per_add.begin(), ns_per_add.end());
+    const double median = ns_per_add[kSamples / 2];
+    rep.info("histogram add, min of 7 [ns]", ns_per_add.front());
+    rep.info("histogram add, median of 7 [ns]", median);
+    rep.info("histogram add, max of 7 [ns]", ns_per_add.back());
+    rep.gate_max("histogram hot path <= 50 ns/add (median of 7)", median,
+                 50.0);
   }
 
   // --- build the 64-rank merged experiment once, on disk -------------------

@@ -28,23 +28,38 @@ CctView::CctView(const prof::CanonicalCct& cct,
                  const metrics::Attribution& attr)
     : View(ViewType::kCallingContext, cct) {
   PV_SPAN("core.cct_view.build");
-  // Mirror the CCT node-for-node; ids are preserved because CCT children
-  // always have larger ids than their parents.
+  // Mirror the CCT node-for-node; ids are preserved. A leaf's (empty) level
+  // is built already; any other level is copied when it or its parent's
+  // level is first read.
+  std::vector<ViewNode> nodes(cct.size());
   for (prof::CctNodeId i = 0; i < cct.size(); ++i) {
     const prof::CctNode& cn = cct.node(i);
-    ViewNode vn;
-    vn.parent = (i == prof::kCctRoot) ? kViewNull : cn.parent;
+    ViewNode& vn = nodes[i];
+    vn.parent = i == prof::kCctRoot ? kViewNull : cn.parent;
     vn.role = role_of(cn.kind);
     vn.scope = cn.scope;
     vn.call_site = cn.call_site;
     vn.origin = i;
-    vn.children_built = true;
-    add_node(std::move(vn));
+    vn.children_built = cn.children.empty();
   }
+  set_nodes(std::move(nodes));
   // Share the attribution's metric columns (same ids, same rows): the view
   // holds handles to the attribution's buffers, not copies of them.
   for (metrics::ColumnId c = 0; c < attr.table.num_columns(); ++c)
     table().add_column(attr.table, c);
+}
+
+void CctView::build_children(ViewNodeId id) {
+  // Copy the level, and the levels of its nodes: a shown node's own child
+  // list (node(id).children) is then there to read, as in an eager mirror.
+  const std::vector<prof::CctNodeId>& level = cct().node(id).children;
+  node_mut(id).children = level;
+  for (const prof::CctNodeId c : level) {
+    ViewNode& n = node_mut(c);
+    if (n.children_built) continue;
+    n.children = cct().node(c).children;
+    n.children_built = true;
+  }
 }
 
 }  // namespace pathview::core

@@ -1,5 +1,10 @@
 // The Calling Context View (paper Sec. III-A): a top-down presentation of
 // the canonical CCT itself. View node ids coincide with CCT node ids.
+//
+// Every row exists from construction, built in one reserved pass; a node's
+// child list is copied from the CCT when it, or its parent's list, is first
+// read. A level copied late still gets every sort key the view was given
+// (see view.hpp).
 #pragma once
 
 #include "pathview/core/view.hpp"
@@ -14,6 +19,10 @@ class CctView final : public View {
 
   /// The underlying CCT node of a view node (identity mapping).
   prof::CctNodeId cct_node(ViewNodeId id) const { return id; }
+
+ private:
+  void build_children(ViewNodeId id) override;
+  bool levels_predate_sorts() const override { return true; }
 };
 
 }  // namespace pathview::core

@@ -1,38 +1,46 @@
 #include "pathview/core/flat_view.hpp"
 
-#include <algorithm>
-
 #include "pathview/obs/obs.hpp"
 
 namespace pathview::core {
 
 namespace {
 
-/// Aggregation-key namespace tags (scope/file/module keys must not collide).
-enum class Tag : std::uint8_t { kScope, kFile, kModule, kCallSite };
-
-struct AggKey {
-  Tag tag;
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-  bool operator==(const AggKey&) const = default;
-};
-struct AggKeyHash {
-  std::size_t operator()(const AggKey& k) const {
-    std::uint64_t h = static_cast<std::uint64_t>(k.tag);
-    h = h * 0x9e3779b97f4a7c15ULL + k.a;
-    h = h * 0xbf58476d1ce4e5b9ULL + k.b;
-    return static_cast<std::size_t>(h ^ (h >> 31));
+/// Hash of a call-site key: (call site, callee) packed into 64 bits.
+struct CallSiteKeyHash {
+  std::size_t operator()(std::uint64_t k) const {
+    return static_cast<std::size_t>((k ^ (k >> 31)) * 0x9e3779b97f4a7c15ULL);
   }
 };
+
+std::uint64_t call_site_key(structure::SNodeId call_site,
+                            structure::SNodeId callee) {
+  return static_cast<std::uint64_t>(call_site) << 32 | callee;
+}
+
+/// Slot of a scope id in an array of tree size + 1: a decoded CCT may carry
+/// kSNull as a scope, which gets the last slot.
+std::size_t slot_of(structure::SNodeId scope, std::size_t tree_size) {
+  return scope < tree_size ? scope : tree_size;
+}
 
 }  // namespace
 
 ViewNodeId FlatView::find_or_add(ViewNodeId parent, NodeRole role,
                                  structure::SNodeId scope,
                                  structure::SNodeId call_site) {
+  // A scope's node is in its slot; any other key is in index_.
+  ViewNodeId* slot = call_site == structure::kSNull
+                         ? &by_scope_[slot_of(scope, by_scope_.size() - 1)]
+                         : nullptr;
+  if (slot != nullptr && *slot != kViewNull) {
+    const ViewNode& n = node(*slot);
+    if (n.parent == parent && n.role == role) return *slot;
+    slot = nullptr;
+  }
   const FlatKey key{parent, role, scope, call_site};
-  if (auto it = index_.find(key); it != index_.end()) return it->second;
+  if (slot == nullptr)
+    if (auto it = index_.find(key); it != index_.end()) return it->second;
   ViewNode vn;
   vn.parent = parent;
   vn.role = role;
@@ -40,7 +48,10 @@ ViewNodeId FlatView::find_or_add(ViewNodeId parent, NodeRole role,
   vn.call_site = call_site;
   vn.children_built = true;
   const ViewNodeId id = add_node(std::move(vn));
-  index_.emplace(key, id);
+  if (slot != nullptr)
+    *slot = id;
+  else
+    index_.emplace(key, id);
   return id;
 }
 
@@ -50,32 +61,46 @@ FlatView::FlatView(const prof::CanonicalCct& cct,
   PV_SPAN("core.flat_view.build");
   const structure::StructureTree& tree = cct.tree();
   const metrics::MetricTable& src = attr.table;
+  const metrics::ColumnId ncols = static_cast<metrics::ColumnId>(
+      src.num_columns());
+  const std::size_t nscopes = tree.size();
+  by_scope_.assign(nscopes + 1, kViewNull);
 
   ViewNode root;
   root.role = NodeRole::kRoot;
   root.children_built = true;
   add_node(std::move(root));
-  for (metrics::ColumnId c = 0; c < src.num_columns(); ++c)
+  for (metrics::ColumnId c = 0; c < ncols; ++c)
     table().add_column(src.desc(c));
-  for (metrics::ColumnId c = 0; c < src.num_columns(); ++c)
+  for (metrics::ColumnId c = 0; c < ncols; ++c)
     table().set(c, kViewRoot, src.get(c, prof::kCctRoot));
 
   // One DFS over the CCT with per-key active counters: a CCT node is an
   // *exposed* member of an aggregation key iff no ancestor carries the same
   // key (paper Sec. IV-B generalized).
-  std::unordered_map<AggKey, std::uint32_t, AggKeyHash> active;
+  std::vector<std::uint32_t> active_scope(nscopes + 1, 0);
+  std::vector<std::uint32_t> active_file(nscopes + 1, 0);
+  std::vector<std::uint32_t> active_module(nscopes + 1, 0);
+  auto active = [&](std::vector<std::uint32_t>& counts,
+                    structure::SNodeId scope) -> std::uint32_t& {
+    return counts[slot_of(scope, nscopes)];
+  };
+  std::unordered_map<std::uint64_t, std::uint32_t, CallSiteKeyHash>
+      active_call_site;
   std::vector<ViewNodeId> flat_of(cct.size(), kViewNull);
   flat_of[prof::kCctRoot] = kViewRoot;
 
+  std::vector<const double*> in(ncols);
+  for (metrics::ColumnId c = 0; c < ncols; ++c) in[c] = src.column(c).data();
   auto add_cols = [&](ViewNodeId dst, prof::CctNodeId srcRow, bool exposed,
                       bool incl_only = false) {
-    for (metrics::ColumnId c = 0; c < src.num_columns(); ++c) {
+    for (metrics::ColumnId c = 0; c < ncols; ++c) {
       const bool inclusive = src.desc(c).inclusive;
       if (!inclusive && incl_only) continue;  // containers roll up exclusive
       if (inclusive && !exposed) continue;
       if (!inclusive && !exposed && policy == RecursionPolicy::kExposedOnly)
         continue;
-      table().add(c, dst, src.get(c, srcRow));
+      table().add(c, dst, in[c][srcRow]);
     }
   };
 
@@ -84,27 +109,30 @@ FlatView::FlatView(const prof::CanonicalCct& cct,
     bool exiting;
   };
   std::vector<Ev> stack{{prof::kCctRoot, false}};
-  std::vector<std::vector<AggKey>> held(cct.size());
 
   while (!stack.empty()) {
     auto [id, exiting] = stack.back();
     stack.pop_back();
+    const prof::CctNode& n = cct.node(id);
     if (exiting) {
-      for (const AggKey& k : held[id]) --active[k];
-      held[id].clear();
+      // Leave the keys the node entered: the same ones, recomputed.
+      if (n.kind == prof::CctKind::kFrame) {
+        const structure::SNodeId file = tree.enclosing_file(n.scope);
+        --active(active_scope, n.scope);
+        --active(active_file, file);
+        --active(active_module, tree.node(file).parent);
+        if (n.call_site != structure::kSNull)
+          --active_call_site[call_site_key(n.call_site, n.scope)];
+      } else if (n.kind == prof::CctKind::kLoop ||
+                 n.kind == prof::CctKind::kInline) {
+        --active(active_scope, n.scope);
+      }
       continue;
     }
-    stack.push_back(Ev{id, true});
-    const auto& ch = cct.node(id).children;
-    for (auto it = ch.rbegin(); it != ch.rend(); ++it)
+    // Statements enter no key, so they need no exit event.
+    if (n.kind != prof::CctKind::kStmt) stack.push_back(Ev{id, true});
+    for (auto it = n.children.rbegin(); it != n.children.rend(); ++it)
       stack.push_back(Ev{*it, false});
-
-    const prof::CctNode& n = cct.node(id);
-    auto enter_key = [&](const AggKey& k) {
-      const bool exposed = (active[k]++ == 0);
-      held[id].push_back(k);
-      return exposed;
-    };
 
     switch (n.kind) {
       case prof::CctKind::kRoot:
@@ -121,10 +149,10 @@ FlatView::FlatView(const prof::CanonicalCct& cct,
         const ViewNodeId vproc = find_or_add(vfile, NodeRole::kProc, proc);
         flat_of[id] = vproc;
 
-        add_cols(vproc, id, enter_key(AggKey{Tag::kScope, proc, 0}));
-        add_cols(vfile, id, enter_key(AggKey{Tag::kFile, file, 0}),
+        add_cols(vproc, id, active(active_scope, proc)++ == 0);
+        add_cols(vfile, id, active(active_file, file)++ == 0,
                  /*incl_only=*/true);
-        add_cols(vmod, id, enter_key(AggKey{Tag::kModule, mod, 0}),
+        add_cols(vmod, id, active(active_module, mod)++ == 0,
                  /*incl_only=*/true);
 
         // The fused <call site, callee> node beneath the caller's static
@@ -134,23 +162,21 @@ FlatView::FlatView(const prof::CanonicalCct& cct,
         // scopes under the callee's own static entry instead) — this
         // reproduces Fig. 2c (h_y = 4/0 while g_y = 6/1).
         if (n.call_site != structure::kSNull) {
-          const ViewNodeId vparent = flat_of[cct.node(id).parent];
           const ViewNodeId vcs =
-              find_or_add(vparent, NodeRole::kFrame, proc, n.call_site);
+              find_or_add(flat_of[n.parent], NodeRole::kFrame, proc,
+                          n.call_site);
           const bool exposed =
-              enter_key(AggKey{Tag::kCallSite, n.call_site, proc});
-          for (metrics::ColumnId c = 0; c < src.num_columns(); ++c) {
+              active_call_site[call_site_key(n.call_site, proc)]++ == 0;
+          model::EventVector direct;
+          for (prof::CctNodeId k : n.children)
+            if (cct.node(k).kind == prof::CctKind::kStmt)
+              direct += cct.samples(k);
+          for (metrics::ColumnId c = 0; c < ncols; ++c) {
             const metrics::MetricDesc& d = src.desc(c);
             if (d.inclusive) {
-              if (exposed) table().add(c, vcs, src.get(c, id));
-            } else {
-              if (!exposed && policy == RecursionPolicy::kExposedOnly)
-                continue;
-              double direct = 0.0;
-              for (prof::CctNodeId k : cct.node(id).children)
-                if (cct.node(k).kind == prof::CctKind::kStmt)
-                  direct += cct.samples(k)[d.event];
-              table().add(c, vcs, direct);
+              if (exposed) table().add(c, vcs, in[c][id]);
+            } else if (exposed || policy == RecursionPolicy::kAllInstances) {
+              table().add(c, vcs, direct[d.event]);
             }
           }
         }
@@ -162,16 +188,15 @@ FlatView::FlatView(const prof::CanonicalCct& cct,
         const NodeRole role = n.kind == prof::CctKind::kLoop
                                   ? NodeRole::kLoop
                                   : NodeRole::kInline;
-        const ViewNodeId v =
-            find_or_add(flat_of[cct.node(id).parent], role, n.scope);
+        const ViewNodeId v = find_or_add(flat_of[n.parent], role, n.scope);
         flat_of[id] = v;
-        add_cols(v, id, enter_key(AggKey{Tag::kScope, n.scope, 0}));
+        add_cols(v, id, active(active_scope, n.scope)++ == 0);
         break;
       }
 
       case prof::CctKind::kStmt: {
-        const ViewNodeId v = find_or_add(flat_of[cct.node(id).parent],
-                                         NodeRole::kStmt, n.scope);
+        const ViewNodeId v =
+            find_or_add(flat_of[n.parent], NodeRole::kStmt, n.scope);
         flat_of[id] = v;
         // Statements are CCT leaves: instances never nest, so plain sums.
         add_cols(v, id, /*exposed=*/true);
@@ -191,7 +216,7 @@ FlatView::FlatView(const prof::CanonicalCct& cct,
         (vn.role == NodeRole::kFile && pr == NodeRole::kModule) ||
         (vn.role == NodeRole::kModule && pr == NodeRole::kRoot);
     if (!roll) continue;
-    for (metrics::ColumnId c = 0; c < src.num_columns(); ++c)
+    for (metrics::ColumnId c = 0; c < ncols; ++c)
       if (!src.desc(c).inclusive)
         table().add(c, vn.parent, table().get(c, id));
   }

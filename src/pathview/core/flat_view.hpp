@@ -8,6 +8,12 @@
 // Aggregation uses the exposed-instance rule for every scope kind so that
 // recursive programs are not double-counted (Sec. IV-B: "inclusive costs
 // need to be computed similarly in the Flat View").
+//
+// The view is built in one DFS over the CCT. Every flat node but a call-site
+// node stands for one structure-tree scope, so the lookups of that pass are
+// dense arrays indexed by scope id: the flat node of a scope, and the number
+// of active (enclosing) CCT instances of each scope, file and module key.
+// Call-site nodes and their keys go through hash maps.
 #pragma once
 
 #include <unordered_map>
@@ -45,6 +51,10 @@ class FlatView final : public View {
                          structure::SNodeId scope,
                          structure::SNodeId call_site = structure::kSNull);
 
+  // Flat node of each scope (kViewNull until created); a key whose scope
+  // slot holds another node (a call-site node, or a parent or role the
+  // slot's node lacks, which only a malformed CCT yields) is in index_.
+  std::vector<ViewNodeId> by_scope_;
   std::unordered_map<FlatKey, ViewNodeId, FlatKeyHash> index_;
 };
 

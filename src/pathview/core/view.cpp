@@ -29,6 +29,12 @@ ViewNodeId View::add_node(ViewNode n) {
   return id;
 }
 
+void View::set_nodes(std::vector<ViewNode> nodes) {
+  nodes_ = std::move(nodes);
+  table_.ensure_rows(nodes_.size());
+  PV_COUNTER_ADD("core.view_rows", nodes_.size());
+}
+
 void View::ensure_children(ViewNodeId id) {
   if (nodes_[id].children_built) return;
   const std::size_t rows_before = table_.num_rows();
@@ -36,7 +42,7 @@ void View::ensure_children(ViewNodeId id) {
   nodes_[id].children_built = true;
   // The active key, if any, is pending for the new level (an expand under
   // an active sort shows its children sorted).
-  if (!sort_history_.empty())
+  if (!sort_history_.empty() && !levels_predate_sorts())
     nodes_[id].sorts_applied =
         static_cast<std::uint32_t>(sort_history_.size() - 1);
   PV_COUNTER_ADD("core.lazy_child_builds", 1);

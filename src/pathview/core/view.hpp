@@ -15,10 +15,12 @@
 // large the view is. A level — one node's child list — is its construction
 // order stable-sorted by every key the view was given since the level was
 // built, in the order given; a level built while a key is active starts
-// with that key pending. children_of() brings a level up to date before
-// returning it, and every order-sensitive reader (tree-table, export,
-// flatten, hot path, serve rows) goes through it, so only the levels that
-// are actually shown are ever sorted.
+// with that key pending. A CctView level stands for a CCT level that exists
+// from construction, so a level it copies on first read gets every key in
+// the history, as an eagerly built mirror would. children_of() brings a
+// level up to date before returning it, and every order-sensitive reader
+// (tree-table, export, flatten, hot path, serve rows) goes through it, so
+// only the levels that are actually shown are ever sorted.
 #pragma once
 
 #include <cstdint>
@@ -123,8 +125,9 @@ class View {
   /// (instrumentation for the lazy-vs-eager ablation bench).
   std::size_t nodes_materialized() const { return size(); }
 
-  // Mutable child lists for the eager sorts of core/sort.hpp.
+  // Mutable child lists for the eager sorts of core/sort.hpp (built first).
   std::vector<ViewNodeId>& mutable_children(ViewNodeId id) {
+    ensure_children(id);
     return nodes_[id].children;
   }
 
@@ -136,7 +139,15 @@ class View {
   /// fully built eagerly).
   virtual void build_children(ViewNodeId /*id*/) {}
 
+  /// True when a level built on first read stands for one that existed
+  /// since construction, so it gets every key in the sort history rather
+  /// than only the active one.
+  virtual bool levels_predate_sorts() const { return false; }
+
   ViewNodeId add_node(ViewNode n);
+  /// Bulk construction: take `nodes` as the view's nodes (their parent
+  /// links and child lists as given) and size the table to match.
+  void set_nodes(std::vector<ViewNode> nodes);
   ViewNode& node_mut(ViewNodeId id) { return nodes_[id]; }
 
  private:

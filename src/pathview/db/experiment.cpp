@@ -31,6 +31,7 @@ void Experiment::set_dropped_ranks(std::vector<std::uint32_t> ranks) {
 Experiment Experiment::capture(const structure::StructureTree& tree,
                                const prof::CanonicalCct& cct, std::string name,
                                std::uint32_t nranks) {
+  PV_SPAN("db.experiment.capture");
   auto tree_copy = std::make_unique<structure::StructureTree>(tree);
   prof::CanonicalCct cct_copy = cct.clone_with_tree(tree_copy.get());
   return Experiment(std::move(tree_copy), std::move(cct_copy),

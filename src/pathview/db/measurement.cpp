@@ -89,7 +89,7 @@ std::string measurement_to_bytes(const sim::RawProfile& raw) {
     put_u64(out, nodes[i].callee_entry);
   }
 
-  const auto cells = raw.cells();
+  const auto& cells = raw.cells();
   put_u64(out, cells.size());
   for (const auto& cell : cells) {
     put_u64(out, cell.node);
@@ -137,6 +137,9 @@ sim::RawProfile measurement_from_bytes(std::string_view bytes) {
         raw.add_sample(map[node], leaf, static_cast<model::Event>(e), c.f64());
   }
   if (c.pos != bytes.size()) c.fail("trailing bytes");
+  // A written file is in key order, so this sorts nothing; a shuffled file,
+  // a repeated cell or two file nodes that are one trie edge need it.
+  raw.sort_cells();
   return raw;
 }
 

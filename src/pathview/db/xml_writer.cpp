@@ -31,11 +31,11 @@ std::uint64_t u64_attr(const XmlNode& n, std::string_view key) {
 
 double f64_attr(const XmlNode& n, std::string_view key) {
   const std::string& s = n.attr(key);
-  try {
-    return std::stod(s);
-  } catch (const std::exception&) {
+  double v = 0.0;
+  auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || p != s.data() + s.size())
     bad_element("bad number '" + s + "'", n);
-  }
+  return v;
 }
 
 std::string f64_str(double v) {

@@ -95,7 +95,7 @@ CanonicalCct correlate(const sim::RawProfile& raw,
 
   // Attribute sample cells: resolve each leaf address to its statement
   // scope and materialize the static chain inside the frame.
-  const std::vector<sim::RawProfile::Cell> cells = raw.cells();
+  const std::vector<sim::RawProfile::Cell>& cells = raw.cells();
   PV_COUNTER_ADD("prof.sample_cells", cells.size());
   for (const sim::RawProfile::Cell& cell : cells) {
     const CctNodeId frame = frame_of[cell.node];

@@ -36,6 +36,8 @@ RawProfile ExecutionEngine::run() {
   ++active_[entry];
   exec_body(prog_.proc(entry).body, entry_node, model::kTopLevelFrame, 1);
   --active_[entry];
+  // Samples arrive in execution order; store them in key order once.
+  profile_.sort_cells();
 
   PV_COUNTER_ADD("sim.stmt_visits", visits_);
   PV_COUNTER_ADD("sim.trie_nodes", profile_.nodes().size());

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "pathview/support/error.hpp"
+
 namespace pathview::sim {
 
 RawProfile::RawProfile() {
@@ -28,20 +30,40 @@ void RawProfile::add_sample(NodeIndex node, model::Addr leaf, model::Event e,
     cells_.back().counts[e] += value;
     return;
   }
+  if (sorted_) {
+    // Above the last key of a sorted run: a new cell, no index needed.
+    if (cells_.empty() || cells_.back().node < node ||
+        (cells_.back().node == node && cells_.back().leaf < leaf)) {
+      cells_.push_back(Cell{node, leaf, {}});
+      cells_.back().counts[e] += value;
+      return;
+    }
+    // First out-of-order key: index what is stored, then use the index.
+    sorted_ = false;
+    cell_index_.reserve(cells_.size() + 1);
+    for (std::size_t i = 0; i < cells_.size(); ++i)
+      cell_index_.emplace(CellKey{cells_[i].node, cells_[i].leaf}, i);
+  }
   const auto [it, inserted] = cell_index_.try_emplace(
       CellKey{node, leaf}, cells_.size());
   if (inserted) cells_.push_back(Cell{node, leaf, {}});
   cells_[it->second].counts[e] += value;
 }
 
-std::vector<RawProfile::Cell> RawProfile::cells() const {
-  std::vector<Cell> out = cells_;
-  const auto by_key = [](const Cell& a, const Cell& b) {
+const std::vector<RawProfile::Cell>& RawProfile::cells() const {
+  if (!sorted_)
+    throw InvalidArgument(
+        "RawProfile::cells: cells recorded out of order; call sort_cells()");
+  return cells_;
+}
+
+void RawProfile::sort_cells() {
+  if (sorted_) return;
+  std::sort(cells_.begin(), cells_.end(), [](const Cell& a, const Cell& b) {
     return a.node != b.node ? a.node < b.node : a.leaf < b.leaf;
-  };
-  if (!std::is_sorted(out.begin(), out.end(), by_key))
-    std::sort(out.begin(), out.end(), by_key);
-  return out;
+  });
+  cell_index_ = {};
+  sorted_ = true;
 }
 
 model::EventVector RawProfile::totals() const {

@@ -4,6 +4,18 @@
 // contexts keyed by <return address, callee entry> pairs, with per-leaf
 // event counts. Everything is address-based; correlation back to source
 // constructs happens later in pathview::prof (as in hpcprof).
+//
+// Cells are kept in one contiguous vector. While samples arrive in
+// (node, leaf) order — a decoded .pvms file stores its cells that way — a
+// new cell is appended and nothing else is stored per cell. The first
+// sample whose key is below the last cell's builds a (node, leaf) -> cell
+// index from the cells stored so far, and every later sample goes through
+// it. Either way each cell's counts are summed in sample order.
+//
+// Ordering rule: cells() reads the stored cells in place and requires them
+// to be in (node, leaf) order; on an unsorted profile it throws
+// InvalidArgument. A producer that records out of order (the simulator,
+// a hand-built profile) calls sort_cells() once it is done.
 #pragma once
 
 #include <cstdint>
@@ -47,11 +59,14 @@ class RawProfile {
     model::Addr leaf;
     model::EventVector counts;
   };
-  /// Every cell, ordered by (node, leaf). Cells are stored in insertion
-  /// order; the copy is sorted only when that order is not already sorted
-  /// (a decoded measurement file inserts its cells in order, the simulator
-  /// does not).
-  std::vector<Cell> cells() const;
+  /// Every cell, ordered by (node, leaf), without a copy. Throws
+  /// InvalidArgument when samples were recorded out of order and
+  /// sort_cells() has not run since.
+  const std::vector<Cell>& cells() const;
+
+  /// Put the cells in (node, leaf) order (a no-op when they are). Samples
+  /// recorded afterwards follow the same rules as before.
+  void sort_cells();
 
   /// Total number of samples taken per event.
   std::uint64_t sample_count(model::Event e) const {
@@ -95,8 +110,10 @@ class RawProfile {
 
   std::vector<TrieNode> nodes_;
   std::unordered_map<EdgeKey, NodeIndex, EdgeKeyHash> edges_;
-  std::vector<Cell> cells_;  // insertion order
+  std::vector<Cell> cells_;  // in (node, leaf) order while sorted_
+  // Built on the first out-of-order sample; empty while cells_ is sorted.
   std::unordered_map<CellKey, std::size_t, CellKeyHash> cell_index_;
+  bool sorted_ = true;
   std::uint64_t sample_counts_[model::kNumEvents] = {};
 };
 

@@ -67,6 +67,7 @@ PaperExample::PaperExample() {
                                         return program_->stmt(l2s).body.front();
                                       }();
   p.add_sample(n_h, lw.addr(top, l2_body), Event::kCycles, 4.0);
+  p.sort_cells();
 }
 
 }  // namespace pathview::workloads

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -571,6 +572,60 @@ TEST(XmlDb, MutatedBytesDecodeOrThrowParseError) {
   }
   EXPECT_GT(decoded, 100u);
   EXPECT_GT(rejected, 1000u);
+
+  // Numeric suffixes: text after an attribute value that is itself a
+  // number. Every number the reader takes must be the whole value, so a
+  // suffixed sample value (x=) is always rejected, at its <V>.
+  const char* const suffixes[] = {"zz", "x", " ", "e", "e+", "-", ".5.5",
+                                  "1e", "0x1", "nan", ",7", "\t"};
+  std::size_t suffixed_samples = 0;
+  for (int i = 0; i < 600; ++i) {
+    const std::size_t at = attrs[rng.next_below(attrs.size())];
+    const std::size_t open = base.find("=\"", at) + 2;
+    const std::size_t close = base.find('"', open);
+    const std::string value = base.substr(open, close - open);
+    double number = 0.0;
+    const auto [end, ec] =
+        std::from_chars(value.data(), value.data() + value.size(), number);
+    if (ec != std::errc() || end != value.data() + value.size()) continue;
+    std::string bad = base;
+    bad.insert(close, suffixes[rng.next_below(std::size(suffixes))]);
+    const bool sample = base.compare(at, 2, "x=") == 0;
+    try {
+      (void)from_xml(bad);
+      EXPECT_FALSE(sample) << "case " << i << ": suffixed x= accepted";
+    } catch (const ParseError& e) {
+      ASSERT_LE(e.offset(), bad.size()) << "case " << i << ": " << e.what();
+      if (sample) {
+        EXPECT_EQ(e.offset(), base.rfind("<V ", at)) << e.what();
+        ++suffixed_samples;
+      }
+    } catch (const std::exception& e) {
+      FAIL() << "case " << i << ": not a ParseError: " << e.what();
+    }
+  }
+  EXPECT_GT(suffixed_samples, 10u);
+}
+
+TEST(XmlDb, NumberWithTrailingGarbageIsParseError) {
+  const std::string xml = to_xml(paper_experiment());
+  const std::size_t v = xml.find("<V ");
+  ASSERT_NE(v, std::string::npos);
+  const std::size_t close = xml.find('"', xml.find("x=\"", v) + 3);
+  for (const char* suffix : {"zz", " ", "e", ".0.0"}) {
+    std::string bad = xml;
+    bad.insert(close, suffix);
+    try {
+      from_xml(bad);
+      FAIL() << "sample value with suffix '" << suffix << "' accepted";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.offset(), v) << e.what();
+      EXPECT_NE(std::string(e.what()).find("bad number"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The unmutated value still loads, bit for bit.
+  EXPECT_EQ(to_xml(from_xml(xml)), xml);
 }
 
 TEST(XmlDb, StructuralErrorsCarryTheElementOffset) {

@@ -129,6 +129,7 @@ TEST(Pipeline, CorrelateErrorOnAWorkerIsRethrown) {
   std::vector<sim::RawProfile> raws =
       sim::run_parallel(*w.program, *w.lowering, pc);
   raws[5].add_sample(sim::kRawRoot, 0xdeadbeefULL, Event::kCycles, 1.0);
+  raws[5].sort_cells();
   PipelineOptions opts;
   opts.nthreads = 4;
   EXPECT_THROW(Pipeline(opts).correlate(raws, *w.tree), InvalidArgument);

@@ -1,8 +1,15 @@
 // Unit tests for the execution engine and asynchronous sampler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+#include <map>
+#include <random>
 #include <set>
+#include <tuple>
 
+#include "pathview/db/measurement.hpp"
 #include "pathview/model/builder.hpp"
 #include "pathview/sim/engine.hpp"
 #include "pathview/sim/parallel_runner.hpp"
@@ -227,6 +234,8 @@ TEST(RawProfile, CellsAreDeterministicallyOrdered) {
   p.add_sample(b, 50, Event::kCycles, 1);
   p.add_sample(a, 40, Event::kCycles, 1);
   p.add_sample(b, 30, Event::kCycles, 1);
+  EXPECT_THROW(p.cells(), InvalidArgument);
+  p.sort_cells();
   const auto cells = p.cells();
   ASSERT_EQ(cells.size(), 3u);
   EXPECT_TRUE(cells[0].node < cells[1].node ||
@@ -270,11 +279,183 @@ TEST(RawProfile, SimulatedCellsComeBackSortedWithUnchangedTotals) {
   p.add_sample(a, 20, Event::kCycles, 2);
   p.add_sample(a, 10, Event::kCycles, 1);
   p.add_sample(a, 20, Event::kCycles, 3);
+  p.sort_cells();
   const auto pc = p.cells();
   ASSERT_EQ(pc.size(), 2u);
   EXPECT_EQ(pc[0].leaf, 10u);
   EXPECT_EQ(pc[1].counts[Event::kCycles], 5.0);
   EXPECT_EQ(p.sample_count(Event::kCycles), 3u);
+}
+
+/// The cell store without in-order appends: every cell goes through a
+/// (node, leaf) index in insertion order and is sorted on read. The oracle
+/// RawProfile's cells are checked against.
+struct IndexedCells {
+  std::vector<RawProfile::Cell> cells;
+  std::map<std::pair<NodeIndex, model::Addr>, std::size_t> index;
+  std::uint64_t samples[model::kNumEvents] = {};
+
+  void add(NodeIndex node, model::Addr leaf, Event e, double value) {
+    ++samples[static_cast<std::size_t>(e)];
+    if (!cells.empty() && cells.back().node == node &&
+        cells.back().leaf == leaf) {
+      cells.back().counts[e] += value;
+      return;
+    }
+    const auto [it, fresh] = index.try_emplace({node, leaf}, cells.size());
+    if (fresh) cells.push_back(RawProfile::Cell{node, leaf, {}});
+    cells[it->second].counts[e] += value;
+  }
+  std::vector<RawProfile::Cell> sorted() const {
+    std::vector<RawProfile::Cell> out = cells;
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.node, a.leaf) < std::tie(b.node, b.leaf);
+    });
+    return out;
+  }
+};
+
+/// A measurement file's content, in file order.
+struct FileCell {
+  std::uint64_t node;
+  model::Addr leaf;
+  std::vector<std::pair<Event, double>> values;  // ascending event
+};
+
+void put_varint(std::string& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out += static_cast<char>((v & 0x7f) | 0x80);
+  out += static_cast<char>(v);
+}
+
+std::string encode(const std::vector<TrieNode>& nodes,
+                   const std::vector<FileCell>& cells) {
+  std::string out = "PVMS1\n";
+  put_varint(out, 3);  // rank
+  put_varint(out, 0);  // thread
+  put_varint(out, nodes.size() - 1);
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    put_varint(out, nodes[i].parent);
+    put_varint(out, nodes[i].call_site);
+    put_varint(out, nodes[i].callee_entry);
+  }
+  put_varint(out, cells.size());
+  for (const FileCell& c : cells) {
+    put_varint(out, c.node);
+    put_varint(out, c.leaf);
+    std::uint64_t mask = 0;
+    for (const auto& [e, v] : c.values) mask |= 1ull << static_cast<int>(e);
+    put_varint(out, mask);
+    for (const auto& [e, v] : c.values) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      for (int b = 0; b < 8; ++b) out += static_cast<char>(bits >> (8 * b));
+    }
+  }
+  return out;
+}
+
+/// The decoder's sample sequence replayed into the oracle: file nodes map
+/// to trie nodes with duplicate edges merged, cells add in file order.
+IndexedCells replay(const std::vector<TrieNode>& nodes,
+                    const std::vector<FileCell>& cells) {
+  std::map<std::tuple<NodeIndex, model::Addr, model::Addr>, NodeIndex> edges;
+  std::vector<NodeIndex> map(nodes.size(), kRawRoot);
+  NodeIndex next = 1;
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    const auto [it, fresh] = edges.try_emplace(
+        {map[nodes[i].parent], nodes[i].call_site, nodes[i].callee_entry},
+        next);
+    if (fresh) ++next;
+    map[i] = it->second;
+  }
+  IndexedCells oracle;
+  for (const FileCell& c : cells)
+    for (const auto& [e, v] : c.values) oracle.add(map[c.node], c.leaf, e, v);
+  return oracle;
+}
+
+void expect_same_cells(const std::vector<RawProfile::Cell>& got,
+                       const std::vector<RawProfile::Cell>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].node, want[i].node) << what << " cell " << i;
+    ASSERT_EQ(got[i].leaf, want[i].leaf) << what << " cell " << i;
+    ASSERT_EQ(std::memcmp(got[i].counts.v.data(), want[i].counts.v.data(),
+                          sizeof(double) * model::kNumEvents),
+              0)
+        << what << " cell " << i;
+  }
+}
+
+/// Decoded profiles give bit-identical cells whether their samples took
+/// the in-order append path (a well-formed file), switched to the index
+/// part way (shuffled cells, repeated cells) or merged duplicate trie edges.
+TEST(RawProfile, InOrderAppendsMatchIndexedInserts) {
+  for (const std::uint64_t seed : {3u, 8u, 21u}) {
+    workloads::Workload w = workloads::make_random_program({.seed = seed});
+    const RawProfile sim = ExecutionEngine(*w.program, *w.lowering, w.run).run();
+    std::mt19937_64 rng(seed);
+    // Values whose sums round differently in another order.
+    std::uniform_real_distribution<double> value(0.1, 1e6);
+
+    std::vector<TrieNode> nodes = sim.nodes();
+    std::vector<FileCell> in_order;
+    for (const RawProfile::Cell& c : sim.cells()) {
+      FileCell fc{c.node, c.leaf, {}};
+      for (std::size_t e = 0; e < model::kNumEvents; ++e)
+        if (c.counts.v[e] != 0.0 || fc.values.empty())
+          fc.values.emplace_back(static_cast<Event>(e), value(rng));
+      in_order.push_back(std::move(fc));
+    }
+    ASSERT_GT(in_order.size(), 20u);
+
+    std::vector<FileCell> shuffled = in_order;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+
+    // Repeats of earlier cells with new values, some right after their
+    // original and some far from it.
+    std::vector<FileCell> repeated = in_order;
+    for (int k = 0; k < 40; ++k) {
+      const std::size_t from = rng() % repeated.size();
+      FileCell dup = repeated[from];
+      for (auto& [e, v] : dup.values) v = value(rng);
+      const std::size_t at = k % 2 == 0 ? from + 1 : rng() % repeated.size();
+      repeated.insert(repeated.begin() + static_cast<std::ptrdiff_t>(at),
+                      std::move(dup));
+    }
+
+    // Duplicate trie edges: a second file node for existing frames, with
+    // cells of its own, so file order is not trie order.
+    std::vector<TrieNode> dup_nodes = nodes;
+    std::vector<FileCell> dup_cells = in_order;
+    for (int k = 0; k < 12; ++k) {
+      const auto twin = static_cast<NodeIndex>(1 + rng() % (nodes.size() - 1));
+      dup_nodes.push_back(nodes[twin]);
+      const std::size_t from = rng() % in_order.size();
+      FileCell fc{dup_nodes.size() - 1, in_order[from].leaf,
+                  {{Event::kCycles, value(rng)}}};
+      dup_cells.push_back(std::move(fc));
+    }
+
+    const std::pair<const char*, std::pair<std::vector<TrieNode>*,
+                                           std::vector<FileCell>*>>
+        cases[] = {{"in order", {&nodes, &in_order}},
+                   {"shuffled", {&nodes, &shuffled}},
+                   {"repeated cells", {&nodes, &repeated}},
+                   {"duplicate edges", {&dup_nodes, &dup_cells}}};
+    for (const auto& [name, content] : cases) {
+      const std::string what =
+          std::string(name) + ", seed " + std::to_string(seed);
+      const RawProfile got =
+          db::measurement_from_bytes(encode(*content.first, *content.second));
+      const IndexedCells want = replay(*content.first, *content.second);
+      ASSERT_NO_THROW(got.cells()) << what;
+      expect_same_cells(got.cells(), want.sorted(), what);
+      for (std::size_t e = 0; e < model::kNumEvents; ++e)
+        EXPECT_EQ(got.sample_count(static_cast<Event>(e)), want.samples[e])
+            << what;
+    }
+  }
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 // the moment it is built (the rule the serve `expand` op always had). Each
 // op first builds, in the order the real op reads them, the levels it is
 // about to read, so a level is built at the same point of the sequence as
-// on the lazy side — and node ids come out the same.
+// on the lazy side — and node ids come out the same. The CCT view's levels
+// are all built up front, as the eager mirror it replaces built them, so
+// every sort op reaches every CCT level.
 #pragma once
 
 #include <array>
@@ -26,7 +28,11 @@ class EagerSortOracle {
  public:
   EagerSortOracle(const prof::CanonicalCct& cct,
                   const metrics::Attribution& attr)
-      : c_(cct, attr) {}
+      : c_(cct, attr) {
+    core::View& mirror = c_.view(core::ViewType::kCallingContext);
+    for (core::ViewNodeId id = 0; id < mirror.size(); ++id)
+      mirror.ensure_children(id);
+  }
 
   ui::ViewerController& controller() { return c_; }
   core::View& view() { return c_.current(); }

@@ -67,6 +67,11 @@ void CallersView::set_metrics(ViewNodeId id,
 }
 
 void CallersView::build_children(ViewNodeId id) {
+  // A level created on expand starts with the active key, if any, pending:
+  // an expand under an active sort shows its children sorted.
+  if (!sort_history().empty())
+    node_mut(id).sorts_applied =
+        static_cast<std::uint32_t>(sort_history().size() - 1);
   auto it = pending_.find(id);
   if (it == pending_.end()) return;
   const std::vector<Pair> pairs = std::move(it->second);

@@ -29,8 +29,7 @@ CctView::CctView(const prof::CanonicalCct& cct,
     : View(ViewType::kCallingContext, cct) {
   PV_SPAN("core.cct_view.build");
   // Mirror the CCT node-for-node; ids are preserved. A leaf's (empty) level
-  // is built already; any other level is copied when it or its parent's
-  // level is first read.
+  // is built already; any other level is copied when it is first read.
   std::vector<ViewNode> nodes(cct.size());
   for (prof::CctNodeId i = 0; i < cct.size(); ++i) {
     const prof::CctNode& cn = cct.node(i);
@@ -50,16 +49,7 @@ CctView::CctView(const prof::CanonicalCct& cct,
 }
 
 void CctView::build_children(ViewNodeId id) {
-  // Copy the level, and the levels of its nodes: a shown node's own child
-  // list (node(id).children) is then there to read, as in an eager mirror.
-  const std::vector<prof::CctNodeId>& level = cct().node(id).children;
-  node_mut(id).children = level;
-  for (const prof::CctNodeId c : level) {
-    ViewNode& n = node_mut(c);
-    if (n.children_built) continue;
-    n.children = cct().node(c).children;
-    n.children_built = true;
-  }
+  node_mut(id).children = cct().node(id).children;
 }
 
 }  // namespace pathview::core

@@ -2,9 +2,8 @@
 // the canonical CCT itself. View node ids coincide with CCT node ids.
 //
 // Every row exists from construction, built in one reserved pass; a node's
-// child list is copied from the CCT when it, or its parent's list, is first
-// read. A level copied late still gets every sort key the view was given
-// (see view.hpp).
+// child list is copied from the CCT when it is first read. A level copied
+// late still gets every sort key the view was given (see view.hpp).
 #pragma once
 
 #include "pathview/core/view.hpp"
@@ -22,7 +21,6 @@ class CctView final : public View {
 
  private:
   void build_children(ViewNodeId id) override;
-  bool levels_predate_sorts() const override { return true; }
 };
 
 }  // namespace pathview::core

@@ -40,11 +40,6 @@ void View::ensure_children(ViewNodeId id) {
   const std::size_t rows_before = table_.num_rows();
   build_children(id);
   nodes_[id].children_built = true;
-  // The active key, if any, is pending for the new level (an expand under
-  // an active sort shows its children sorted).
-  if (!sort_history_.empty() && !levels_predate_sorts())
-    nodes_[id].sorts_applied =
-        static_cast<std::uint32_t>(sort_history_.size() - 1);
   PV_COUNTER_ADD("core.lazy_child_builds", 1);
   if (table_.num_rows() != rows_before) {
     // Lazily materialized rows: recompute derived columns so sorting and

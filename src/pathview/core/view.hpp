@@ -14,13 +14,14 @@
 // sort history (consecutive repeats collapsed), so it costs O(1) however
 // large the view is. A level — one node's child list — is its construction
 // order stable-sorted by every key the view was given since the level was
-// built, in the order given; a level built while a key is active starts
-// with that key pending. A CctView level stands for a CCT level that exists
-// from construction, so a level it copies on first read gets every key in
-// the history, as an eagerly built mirror would. children_of() brings a
-// level up to date before returning it, and every order-sensitive reader
-// (tree-table, export, flatten, hot path, serve rows) goes through it, so
-// only the levels that are actually shown are ever sorted.
+// built, in the order given. A Callers-view level is created on expand, so
+// it starts with only the active key pending. A CctView level stands for a
+// CCT level that exists from construction, so a level it copies on first
+// read gets every key in the history, as an eagerly built mirror would.
+// children_of() brings a level up to date before returning it, and every
+// order-sensitive reader (tree-table, export, flatten, hot path, serve rows)
+// goes through it, so only the levels that are actually shown are ever
+// sorted.
 #pragma once
 
 #include <cstdint>
@@ -138,11 +139,6 @@ class View {
   /// Subclass hook: materialize children of `id`. Default: nothing (view is
   /// fully built eagerly).
   virtual void build_children(ViewNodeId /*id*/) {}
-
-  /// True when a level built on first read stands for one that existed
-  /// since construction, so it gets every key in the sort history rather
-  /// than only the active one.
-  virtual bool levels_predate_sorts() const { return false; }
 
   ViewNodeId add_node(ViewNode n);
   /// Bulk construction: take `nodes` as the view's nodes (their parent

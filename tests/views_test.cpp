@@ -279,6 +279,12 @@ TEST(Sort, ResortingANaNColumnIsIdempotent) {
   for (const double x : col) nans += std::isnan(x) ? 1 : 0;
   ASSERT_GT(nans, 1u);
   ASSERT_LT(nans, col.size() - 1);
+  // sort_built_by sorts built levels only: build them all first, and make
+  // sure there is something to order.
+  for (ViewNodeId id = 0; id < v.size(); ++id) v.ensure_children(id);
+  std::size_t multi = 0;
+  for (const auto& level : built_levels(v)) multi += level.size() > 1 ? 1 : 0;
+  ASSERT_GT(multi, 0u);
   for (const bool desc : {true, false}) {
     sort_built_by(v, nan_col, desc);
     const auto once = built_levels(v);
@@ -307,7 +313,7 @@ TEST(Sort, SortByIsRecordedAndAppliedOnRead) {
   EXPECT_THROW(v.sort_by(99), InvalidArgument);
   // Nothing moved yet; a read brings the level up to date.
   const ViewNodeId m = child_labeled(v, v.root(), "m");
-  const std::vector<ViewNodeId> unsorted = v.node(m).children;
+  const std::vector<ViewNodeId> unsorted = v.mutable_children(m);
   std::vector<ViewNodeId> expect = unsorted;
   sort_level(expect, v.table().column(excl), false);
   sort_level(expect, v.table().column(incl), true);
